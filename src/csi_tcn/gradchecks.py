@@ -132,18 +132,17 @@ def run_battery(include_model: bool = True) -> list[BatteryRow]:
     c_sm = _coeffs(rng, (3, 5))
     check("softmax_rows", lambda x: _weighted_sum(T.softmax_rows(x), c_sm), [sx])
 
-    mx = Tensor(rng.standard_normal((4, 4)), requires_grad=True)
-    c_mask = _coeffs(rng, (4, 4))
-    check(
-        "mask_neg_inf_softmax",
-        lambda x: _weighted_sum(T.softmax_rows(T.lower_triangular_mask(x, "neg_inf")), c_mask),
-        [mx],
-    )
-    check(
-        "mask_zero_literal",
-        lambda x: _weighted_sum(T.lower_triangular_mask(x, "zero_literal"), c_mask),
-        [mx],
-    )
+    # batched, with value width F=5 distinct from T=4 and d_k=3
+    aq = Tensor(rng.standard_normal((2, 4, 3)), requires_grad=True)
+    ak = Tensor(rng.standard_normal((2, 4, 3)), requires_grad=True)
+    av = Tensor(rng.standard_normal((2, 4, 5)), requires_grad=True)
+    c_att = _coeffs(rng, (2, 4, 5))
+    for mode in ("neg_inf", "zero_literal"):
+        check(
+            f"causal_attention_{mode}",
+            lambda q, k, v, mode=mode: _weighted_sum(T.causal_attention(q, k, v, 3.0**-0.5, mode), c_att),
+            [aq, ak, av],
+        )
 
     # dropout with a re-seeded mask so every call sees the same pattern
     dx = Tensor(rng.standard_normal((4, 6)), requires_grad=True)

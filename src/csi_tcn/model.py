@@ -205,27 +205,21 @@ def init_model(cfg: ModelConfig, rng: np.random.Generator) -> ModelParams:
     return params
 
 
-def _swap_last(t: Tensor) -> Tensor:
-    axes = list(range(t.ndim))
-    axes[-1], axes[-2] = axes[-2], axes[-1]
-    return T.transpose(t, axes)
-
-
 def attention_forward(
     h: Tensor, params: AttentionParams, mask_mode: MaskMode = MaskMode.NEG_INF
 ) -> Tensor:
     """Masked scaled dot-product attention gating the input elementwise.
 
-    h: (..., T, F). Scores of future positions are suppressed by the
-    lower-triangular mask; the attended value rows then gate h entrywise, so
-    the output keeps shape (..., T, F).
+    h: (..., T, F). Queries, keys and values are linear maps of h; the fused
+    `tensor.causal_attention` primitive scales the scores by 1/sqrt(d_k),
+    suppresses future positions with the lower-triangular mask, and returns
+    the softmax-weighted value rows while holding a single T x T buffer. The
+    attended rows then gate h entrywise, so the output keeps shape (..., T, F).
     """
     q = T.linear(h, params.w_q)
     k = T.linear(h, params.w_k)
     v = T.linear(h, params.w_v)
-    scores = T.matmul(q, _swap_last(k)) * (1.0 / math.sqrt(params.d_k))
-    weights = T.softmax_rows(T.lower_triangular_mask(scores, mask_mode.value))
-    attended = T.matmul(weights, v)
+    attended = T.causal_attention(q, k, v, 1.0 / math.sqrt(params.d_k), mask_mode.value)
     if attended.shape != h.shape:
         raise ValueError(f"attended shape {attended.shape} does not match input {h.shape}")
     return T.mul(h, attended)

@@ -1,7 +1,7 @@
 """Dense float64 arrays with recorded operations and reverse-mode gradients.
 
 Covers exactly the primitives the classifier needs: dilated causal 1-D
-convolution, affine maps, row softmax, lower-triangular masking, ReLU,
+convolution, affine maps, row softmax, fused causal attention, ReLU,
 elementwise arithmetic, axis reductions, inverted dropout, and cross-entropy.
 Graphs are built eagerly; calling `backward()` on a scalar root accumulates
 gradients into every reachable tensor that requires them.
@@ -28,7 +28,7 @@ __all__ = [
     "index",
     "relu",
     "softmax_rows",
-    "lower_triangular_mask",
+    "causal_attention",
     "causal_conv1d",
     "linear",
     "mean_over_axis",
@@ -133,10 +133,18 @@ def _make(
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
+    """Add `g` into `t.grad`.
+
+    The first contribution is stored without a copy, so `t.grad` may alias an
+    array another node also holds (the child's own gradient, or a view of
+    it). That is safe because of two invariants: later contributions are
+    added out of place (`t.grad + g` makes a new array), and no backward
+    function writes into an array it received or handed on.
+    """
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.array(g, dtype=np.float64)
+        t.grad = np.asarray(g, dtype=np.float64)
     else:
         t.grad = t.grad + g
 
@@ -159,8 +167,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     data = a.data + b.data
 
     def backward_fn(g):
-        _accumulate(a, _unbroadcast(g, a.shape))
-        _accumulate(b, _unbroadcast(g, b.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g, a.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g, b.shape))
 
     return _make(data, (a, b), backward_fn, "add")
 
@@ -179,8 +189,10 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     data = a.data * b.data
 
     def backward_fn(g):
-        _accumulate(a, _unbroadcast(g * b.data, a.shape))
-        _accumulate(b, _unbroadcast(g * a.data, b.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g * b.data, a.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g * a.data, b.shape))
 
     return _make(data, (a, b), backward_fn, "mul")
 
@@ -273,10 +285,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     data = np.matmul(a.data, b.data)
 
     def backward_fn(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        _accumulate(a, _unbroadcast(ga, a.shape))
-        _accumulate(b, _unbroadcast(gb, b.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape))
 
     return _make(data, (a, b), backward_fn, "matmul")
 
@@ -295,10 +307,11 @@ def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
 
     def backward_fn(g):
         g2 = g.reshape(-1, w.shape[0])
-        x2 = x.data.reshape(-1, w.shape[1])
-        _accumulate(x, (g2 @ w.data).reshape(x.shape))
-        _accumulate(w, g2.T @ x2)
-        if b is not None:
+        if x.requires_grad:
+            _accumulate(x, (g2 @ w.data).reshape(x.shape))
+        if w.requires_grad:
+            _accumulate(w, g2.T @ x.data.reshape(-1, w.shape[1]))
+        if b is not None and b.requires_grad:
             _accumulate(b, g2.sum(axis=0))
 
     parents = (x, w) if b is None else (x, w, b)
@@ -381,26 +394,60 @@ def softmax_rows(a: Tensor) -> Tensor:
     return _make(data, (a,), backward_fn, "softmax_rows")
 
 
-def lower_triangular_mask(s: Tensor, mode: str = "neg_inf") -> Tensor:
-    """Suppress entries above the main diagonal of the trailing T x T block.
+def causal_attention(q: Tensor, k: Tensor, v: Tensor, scale: float, mode: str = "neg_inf") -> Tensor:
+    """softmax(mask(q k^T * scale)) v with the T x T weights built in one buffer.
 
-    "neg_inf" (default) replaces them with -inf so a following softmax assigns
-    them zero weight; "zero_literal" writes 0.0 instead, reproducing the
-    figure-literal variant (which still leaks weight e^0 through softmax).
+    q, k: (..., T, d_k); v: (..., T, F). Entries above the main diagonal of
+    the scores are suppressed before the row softmax: "neg_inf" (default)
+    gives them zero weight; "zero_literal" writes 0.0 instead, reproducing
+    the figure-literal variant (which still leaks weight e^0 to the future).
+
+    Only the weights P are kept for the backward pass, which is analytic:
+    gP = g v^T, gv = P^T g, gS = P (gP - rowsum(gP P)), masked entries of gS
+    zeroed, times scale, then gq = gS k and gk = (q^T gS)^T. The float
+    operations and their order match the composed chain
+    matmul -> scale -> mask -> softmax_rows -> matmul, so results are
+    bit-identical to it.
     """
-    if s.ndim < 2 or s.shape[-1] != s.shape[-2]:
-        raise ValueError(f"mask input must end in a square block, got {s.shape}")
     if mode not in ("neg_inf", "zero_literal"):
         raise ValueError(f"unknown mask mode {mode!r}")
-    t = s.shape[-1]
-    above = np.triu(np.ones((t, t), dtype=bool), k=1)
-    fill = -np.inf if mode == "neg_inf" else 0.0
-    data = np.where(above, fill, s.data)
+    if q.ndim < 2 or k.ndim < 2 or v.ndim < 2:
+        raise ValueError("attention operands must be at least 2-D")
+    t_len = q.shape[-2]
+    if k.shape[-2] != t_len or v.shape[-2] != t_len:
+        raise ValueError(
+            f"scores must be a square T x T block; got q {q.shape}, k {k.shape}, v {v.shape}"
+        )
+    scale = np.float64(scale)
+    above = np.triu(np.ones((t_len, t_len), dtype=bool), k=1)
+    weights = np.matmul(q.data, np.swapaxes(k.data, -1, -2))
+    weights *= scale
+    np.copyto(weights, -np.inf if mode == "neg_inf" else 0.0, where=above)
+    row_max = np.max(weights, axis=-1, keepdims=True)
+    if np.any(np.isneginf(row_max)):
+        raise ValueError("softmax row is entirely -inf")
+    weights -= row_max
+    np.exp(weights, out=weights)
+    weights /= weights.sum(axis=-1, keepdims=True)
+    data = np.matmul(weights, v.data)
 
     def backward_fn(g):
-        _accumulate(s, np.where(above, 0.0, g))
+        if v.requires_grad:
+            _accumulate(v, _unbroadcast(np.matmul(np.swapaxes(weights, -1, -2), g), v.shape))
+        if not (q.requires_grad or k.requires_grad):
+            return
+        gs = np.matmul(g, np.swapaxes(v.data, -1, -2))
+        gs -= np.sum(gs * weights, axis=-1, keepdims=True)
+        gs *= weights
+        np.copyto(gs, 0.0, where=above)
+        gs *= scale
+        if q.requires_grad:
+            _accumulate(q, _unbroadcast(np.matmul(gs, k.data), q.shape))
+        if k.requires_grad:
+            gk = np.swapaxes(np.matmul(np.swapaxes(q.data, -1, -2), gs), -1, -2)
+            _accumulate(k, _unbroadcast(gk, k.shape))
 
-    return _make(data, (s,), backward_fn, "lower_triangular_mask")
+    return _make(data, (q, k, v), backward_fn, "causal_attention")
 
 
 # ---------------------------------------------------------------------------
@@ -430,9 +477,17 @@ _PROB_CLAMP = 1e-12
 
 
 def _check_distribution(p: np.ndarray) -> None:
+    if not np.all(np.isfinite(p)):
+        raise ValueError("input is not a probability distribution (non-finite entries)")
     sums = p.sum(axis=-1)
     if np.any(np.abs(sums - 1.0) > 1e-6) or np.any(p < -1e-6):
         raise ValueError("input is not a probability distribution (within 1e-6)")
+
+
+def _check_labels(labels: np.ndarray, classes: int) -> None:
+    bad = labels[(labels < 0) | (labels >= classes)]
+    if bad.size:
+        raise ValueError(f"label {bad.flat[0]} outside the model's classes [0, {classes})")
 
 
 def cross_entropy(probabilities: Tensor, label: int) -> Tensor:
@@ -440,6 +495,7 @@ def cross_entropy(probabilities: Tensor, label: int) -> Tensor:
     if probabilities.ndim != 1:
         raise ValueError(f"expected a probability vector, got shape {probabilities.shape}")
     _check_distribution(probabilities.data)
+    _check_labels(np.asarray(label), probabilities.shape[0])
     p = probabilities.data[label]
     clamped = max(p, _PROB_CLAMP)
     data = -np.log(clamped)
@@ -459,6 +515,7 @@ def cross_entropy_mean(probabilities: Tensor, labels: np.ndarray) -> Tensor:
         raise ValueError(f"expected (batch, classes), got shape {probabilities.shape}")
     labels = np.asarray(labels)
     _check_distribution(probabilities.data)
+    _check_labels(labels, probabilities.shape[1])
     batch = probabilities.shape[0]
     rows = np.arange(batch)
     p = probabilities.data[rows, labels]

@@ -243,6 +243,27 @@ def test_unknown_config_key_names_it(workspace, capsys):
     assert not (root / "never").exists()
 
 
+def test_too_few_classes_for_labels_fails_cleanly(workspace, tmp_path, capsys):
+    root, cfg = workspace
+    code = main(
+        [
+            "train",
+            str(root / "prep" / "manifest.csv"),
+            "--config",
+            str(cfg),
+            "--set",
+            "model.n_classes=2",
+            "--out",
+            str(tmp_path / "two"),
+        ]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: label 2 outside the model's classes [0, 2)")
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+
+
 def test_set_overrides_file(workspace, tmp_path):
     root, cfg = workspace
     out = tmp_path / "short"

@@ -1,8 +1,11 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from attention_reference import reference_attention_forward
+from csi_tcn import model as model_mod
 from csi_tcn import tensor as T
 from csi_tcn.model import (
     AttentionParams,
@@ -119,6 +122,54 @@ class TestAttention:
                 w_k=Tensor(rng.standard_normal((2, 4))),
                 w_v=Tensor(rng.standard_normal((3, 4))),
             )
+
+
+class TestFusedAttention:
+    """`tensor.causal_attention` against the composed chain it replaced."""
+
+    @pytest.mark.parametrize("t_len", [1, 20])
+    @pytest.mark.parametrize("mask_mode", list(MaskMode))
+    @pytest.mark.parametrize("placement", list(AttentionPlacement))
+    def test_model_bitwise_equal_to_composed_chain(self, monkeypatch, placement, mask_mode, t_len):
+        cfg = small_config(attention_placement=placement, mask_mode=mask_mode, dropout=0.3, d_k=3)
+        x_data = np.random.default_rng(10).standard_normal((2, 3, t_len, cfg.in_features))
+        labels = np.array([1, 4])
+        runs = []
+        for attend in (model_mod.attention_forward, reference_attention_forward):
+            monkeypatch.setattr(model_mod, "attention_forward", attend)
+            params = init_model(cfg, np.random.default_rng(11))
+            x = Tensor(x_data.copy(), requires_grad=True)
+            probs = model_forward(x, params, cfg, training=True, rng=np.random.default_rng(12))
+            T.cross_entropy_mean(probs, labels).backward()
+            grads = {name: p.grad for name, p in params.named().items()}
+            runs.append((probs.data, x.grad, grads))
+        (fused_p, fused_x, fused_g), (ref_p, ref_x, ref_g) = runs
+        assert np.array_equal(fused_p, ref_p)
+        assert np.array_equal(fused_x, ref_x)
+        assert fused_g.keys() == ref_g.keys()
+        for name in fused_g:
+            assert np.array_equal(fused_g[name], ref_g[name]), name
+
+    def test_memory_bounded_by_two_and_five_score_tensors(self):
+        # One unit is one (N, T, T) float64 tensor. The composed chain keeps
+        # about 4.6 units after forward and peaks near 10 with backward.
+        n, t_len, feats = 8, 256, 30
+        unit = n * t_len * t_len * 8
+        rng = np.random.default_rng(13)
+        p = attention_params(rng, width=feats, d_k=feats)
+        h = Tensor(rng.standard_normal((n, t_len, feats)), requires_grad=True)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = attention_forward(h, p, MaskMode.NEG_INF)
+            retained = tracemalloc.get_traced_memory()[0] - before
+            T.sum_over(out).backward()
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert retained <= 2 * unit, f"forward retains {retained / unit:.2f} units"
+        assert peak <= 5 * unit, f"forward + backward peaks at {peak / unit:.2f} units"
+        assert h.grad is not None
 
 
 class TestTcnBlock:

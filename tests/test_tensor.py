@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from attention_reference import lower_triangular_mask, reference_attention
 from csi_tcn import tensor as T
 from csi_tcn.tensor import Tensor, grad_check
 
@@ -134,21 +135,80 @@ class TestSoftmax:
 
 
 class TestMask:
+    """The test-local reference mask (the composed chain's masking step)."""
+
     def test_one_by_one_unchanged(self):
-        y = T.lower_triangular_mask(Tensor([[3.5]]), "neg_inf")
+        y = lower_triangular_mask(Tensor([[3.5]]), "neg_inf")
         assert np.array_equal(y.data, [[3.5]])
 
     def test_neg_inf_mode(self):
-        y = T.lower_triangular_mask(Tensor([[1.0, 2.0], [3.0, 4.0]]), "neg_inf")
+        y = lower_triangular_mask(Tensor([[1.0, 2.0], [3.0, 4.0]]), "neg_inf")
         assert np.array_equal(y.data, [[1.0, -np.inf], [3.0, 4.0]])
 
     def test_zero_literal_mode(self):
-        y = T.lower_triangular_mask(Tensor([[1.0, 2.0], [3.0, 4.0]]), "zero_literal")
+        y = lower_triangular_mask(Tensor([[1.0, 2.0], [3.0, 4.0]]), "zero_literal")
         assert np.array_equal(y.data, [[1.0, 0.0], [3.0, 4.0]])
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
-            T.lower_triangular_mask(Tensor(np.ones((2, 3))), "neg_inf")
+            lower_triangular_mask(Tensor(np.ones((2, 3))), "neg_inf")
+
+
+def attention_weights(scores, mode):
+    """Weights of `causal_attention` on given scores: q = scores, k = I and
+    v = I make q k^T = scores and the output equal to the weights."""
+    eye = Tensor(np.eye(len(scores)))
+    return T.causal_attention(Tensor(scores), eye, eye, 1.0, mode).data
+
+
+def softmax(row):
+    e = np.exp(np.asarray(row) - np.max(row))
+    return e / e.sum()
+
+
+class TestCausalAttention:
+    def test_one_step_returns_value(self):
+        v = np.array([[0.5, -2.0, 3.0]])
+        out = T.causal_attention(Tensor([[1.3]]), Tensor([[-0.7]]), Tensor(v), 0.5)
+        assert np.array_equal(out.data, v)
+
+    def test_neg_inf_weights(self):
+        w = attention_weights([[1.0, 2.0], [3.0, 4.0]], "neg_inf")
+        assert np.array_equal(w[0], [1.0, 0.0])
+        assert np.allclose(w[1], softmax([3.0, 4.0]), rtol=0.0, atol=1e-15)
+
+    def test_zero_literal_weights_leak(self):
+        # the masked entry scores 0.0, so it keeps weight e^0 / (e^1 + e^0)
+        w = attention_weights([[1.0, 2.0], [3.0, 4.0]], "zero_literal")
+        assert np.allclose(w[0], softmax([1.0, 0.0]), rtol=0.0, atol=1e-15)
+        assert np.allclose(w[1], softmax([3.0, 4.0]), rtol=0.0, atol=1e-15)
+
+    def test_non_square_scores_rejected(self):
+        with pytest.raises(ValueError, match="square"):
+            T.causal_attention(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 3))), Tensor(np.ones((3, 4))), 1.0)
+
+    def test_unknown_mode_rejected(self):
+        x = Tensor(np.ones((2, 2)))
+        with pytest.raises(ValueError, match="mode"):
+            T.causal_attention(x, x, x, 1.0, "upper")
+
+    @pytest.mark.parametrize("mode", ["neg_inf", "zero_literal"])
+    @pytest.mark.parametrize(
+        "qk_shape, v_shape",
+        [((3, 7, 4), (3, 7, 5)), ((6, 2), (6, 3)), ((1, 3), (1, 2)), ((2, 1, 4), (2, 1, 4))],
+    )
+    def test_bitwise_equal_to_composed_chain(self, mode, qk_shape, v_shape):
+        rng = np.random.default_rng(len(qk_shape) * 100 + qk_shape[-2])
+        arrays = [rng.standard_normal(qk_shape), rng.standard_normal(qk_shape), rng.standard_normal(v_shape)]
+        coeffs = Tensor(rng.standard_normal(v_shape))
+        results = []
+        for attend in (T.causal_attention, reference_attention):
+            q, k, v = (Tensor(a.copy(), requires_grad=True) for a in arrays)
+            out = attend(q, k, v, 1.0 / math.sqrt(qk_shape[-1]), mode)
+            T.sum_over(T.mul(out, coeffs)).backward()
+            results.append((out.data, q.grad, k.grad, v.grad))
+        for fused, composed, name in zip(*results, ("output", "q.grad", "k.grad", "v.grad")):
+            assert np.array_equal(fused, composed), name
 
 
 class TestElementwiseAndDropout:
@@ -208,6 +268,21 @@ class TestCrossEntropy:
         expected = (-math.log(0.5) - math.log(0.75)) / 2.0
         assert loss.item() == pytest.approx(expected, abs=1e-12)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            T.cross_entropy_mean(Tensor(np.full((2, 3), bad)), np.array([0, 1]))
+        with pytest.raises(ValueError, match="non-finite"):
+            T.cross_entropy(Tensor([bad, 0.5, 0.5]), 0)
+
+    @pytest.mark.parametrize("label", [-1, 3])
+    def test_label_outside_classes_rejected(self, label):
+        probs = Tensor(np.full((2, 3), 1.0 / 3.0))
+        with pytest.raises(ValueError, match=rf"label {label} outside .*\[0, 3\)"):
+            T.cross_entropy_mean(probs, np.array([0, label]))
+        with pytest.raises(ValueError, match=rf"label {label} outside"):
+            T.cross_entropy(Tensor(np.full(3, 1.0 / 3.0)), label)
+
 
 class TestBackward:
     def test_square_gradient(self):
@@ -231,6 +306,38 @@ class TestBackward:
         y = T.sum_over(T.add(T.mul(x, x), x))  # x^2 + x
         y.backward()
         assert np.allclose(x.grad, [5.0], atol=1e-12)
+
+    @pytest.mark.parametrize("op, expected", [(T.add, lambda x, c: 2.0 * c), (T.mul, lambda x, c: 2.0 * x * c)])
+    def test_fan_out_into_one_op(self, op, expected):
+        # both operands are x: the first contribution is stored uncopied and
+        # the second must be added without disturbing the output's gradient
+        rng = np.random.default_rng(6)
+        x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        c = rng.standard_normal((3, 4))
+        y = op(x, x)
+        T.sum_over(T.mul(y, Tensor(c))).backward()
+        assert np.array_equal(x.grad, expected(x.data, c))
+        assert np.array_equal(y.grad, c)
+
+    def test_view_chain_gradients_stay_separate(self):
+        # reshape and transpose hand on views of the gradient they received;
+        # a second path into x and into the reshaped tensor must not write
+        # through those views
+        rng = np.random.default_rng(7)
+        x = Tensor(rng.standard_normal((2, 6)), requires_grad=True)
+        c1 = rng.standard_normal((4, 3))
+        c2 = rng.standard_normal((3, 4))
+        c3 = rng.standard_normal((2, 6))
+        r = T.reshape(x, (3, 4))
+        t = T.transpose(r)
+        loss = T.add(
+            T.add(T.sum_over(T.mul(t, Tensor(c1))), T.sum_over(T.mul(r, Tensor(c2)))),
+            T.sum_over(T.mul(x, Tensor(c3))),
+        )
+        loss.backward()
+        assert np.array_equal(t.grad, c1)
+        assert np.array_equal(r.grad, c1.T + c2)
+        assert np.array_equal(x.grad, (c1.T + c2).reshape(2, 6) + c3)
 
     def test_grad_check_linear_is_tight(self):
         w = Tensor(np.random.default_rng(1).standard_normal((2, 3)), requires_grad=True)
