@@ -33,6 +33,7 @@ from .dsp import load_sample, preprocess, save_sample
 from .gradchecks import run_battery
 from .model import load_checkpoint, model_config_to_dict, save_checkpoint
 from .train import (
+    BlasPinError,
     ablate,
     evaluate,
     kfold_evaluate,
@@ -250,6 +251,10 @@ def _write_timings(metrics, path: str) -> None:
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     manifest = load_manifest(args.manifest)
+    n_classes = cfg.model.n_classes
+    bad = next((e.label for e in manifest if not 0 <= e.label < n_classes), None)
+    if bad is not None:
+        raise ValueError(f"label {bad} outside the model's classes [0, {n_classes})")
     samples = _load_samples(manifest)
     os.makedirs(args.out, exist_ok=True)
 
@@ -365,7 +370,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, CsiFormatError, ValueError, OSError) as exc:
+    except (ConfigError, CsiFormatError, BlasPinError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -284,8 +284,8 @@ class SyntheticSpec:
     signatures: Optional[Sequence[ClassSignature]] = None
 
     def __post_init__(self) -> None:
-        if self.classes < 2:
-            raise ValueError(f"classes must be >= 2, got {self.classes}")
+        if not 2 <= self.classes <= N_CLASSES:
+            raise ValueError(f"classes must be in [2, {N_CLASSES}], got {self.classes}")
         if self.samples_per_class < 1:
             raise ValueError("samples_per_class must be >= 1")
         for name in ("n_t", "n_r", "n_p", "n_s"):

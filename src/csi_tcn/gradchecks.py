@@ -110,10 +110,12 @@ def run_battery(include_model: bool = True) -> list[BatteryRow]:
     c_l = _coeffs(rng, (5, 2))
     check("linear", lambda x, w, bb: _weighted_sum(T.linear(x, w, bb), c_l), [lx, lw, lb])
 
-    cx = Tensor(rng.standard_normal((2, 7)), requires_grad=True)
+    # conv and attention rows keep N >= 2 so the batch split across kernel
+    # workers is differentiated too
+    cx = Tensor(rng.standard_normal((3, 2, 7)), requires_grad=True)
     cw = Tensor(rng.standard_normal((3, 2, 3)), requires_grad=True)
     cb = Tensor(rng.standard_normal(3), requires_grad=True)
-    c_c = _coeffs(rng, (3, 7))
+    c_c = _coeffs(rng, (3, 3, 7))
     check(
         "causal_conv1d",
         lambda x, w, bb: _weighted_sum(T.causal_conv1d(x, w, bb, dilation=2), c_c),

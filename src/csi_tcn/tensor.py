@@ -9,10 +9,23 @@ gradients into every reachable tensor that requires them.
 Conventions: time is the trailing axis for convolution inputs (C, T) and the
 second-to-last for attention inputs (T, F); matmul requires >= 2-D operands
 and broadcasts leading batch axes.
+
+Threading: `causal_conv1d` and `causal_attention` run their forward and
+backward passes over contiguous slices of the leading batch axis on a
+private pool with one worker per usable core, created on first use; with one
+core or one sample the same code runs inline. The calling thread allocates
+every output and scratch buffer and each worker writes only into its own
+slice, so workers allocate nothing large. Reductions across samples (the
+conv weight and bias gradients) run in the calling thread after the join.
+Every sample's float operations keep their order, so results are bitwise
+independent of the worker count. BLAS calls inside the workers are expected
+to be single-threaded; `train` pins them.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -157,6 +170,48 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
         if dim == 1 and g.shape[axis] != 1:
             g = g.sum(axis=axis, keepdims=True)
     return g.reshape(shape)
+
+
+# ---------------------------------------------------------------------------
+# Batch fan-out for the heavy kernels
+
+# One kernel worker per usable core; the pool starts on first use.
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+_pool: Optional[ThreadPoolExecutor] = None
+
+
+def _fan_out(fn: Callable[[int, int], None], n: int) -> None:
+    """Run `fn(b0, b1)` over contiguous slices that cover `range(n)`.
+
+    With one worker or one sample this is the plain call `fn(0, n)`.
+    Otherwise each slice runs on the kernel pool, the caller waits for all of
+    them, and the first exception (in slice order) is raised here. `fn` must
+    write only into its own slice of arrays the caller allocated, and must not
+    fan out again.
+    """
+    parts = min(_WORKERS, n)
+    if parts <= 1:
+        fn(0, n)
+        return
+    global _pool
+    if _pool is None:
+        _pool = ThreadPoolExecutor(max_workers=_WORKERS, thread_name_prefix="csi-tcn-kernel")
+    bounds = [n * i // parts for i in range(parts + 1)]
+    futures = [_pool.submit(fn, b0, b1) for b0, b1 in zip(bounds, bounds[1:])]
+    wait(futures)
+    for future in futures:
+        future.result()
+
+
+def _batched(a: np.ndarray, lead: tuple[int, ...]) -> np.ndarray:
+    """View of `a` (..., R, C) broadcast to `lead + (R, C)`, with a leading
+    axis of 1 when `lead` is empty, so the batch axis is always axis 0."""
+    a = np.broadcast_to(a, lead + a.shape[-2:])
+    return a if lead else a[None]
+
+
+def _unbatched(a: np.ndarray, lead: tuple[int, ...]) -> np.ndarray:
+    return a if lead else a[0]
 
 
 # ---------------------------------------------------------------------------
@@ -347,26 +402,47 @@ def causal_conv1d(
     pad = (k - 1) * dilation
     xp = np.pad(xd, ((0, 0), (0, 0), (pad, 0)))
     data = np.zeros((n, c_out, t_len))
-    for kk in range(k):
-        data += np.matmul(w.data[:, :, kk], xp[:, :, kk * dilation : kk * dilation + t_len])
-    if bias is not None:
-        data += bias.data[:, None]
+    tap_out = np.empty_like(data)
+
+    def forward_slice(b0: int, b1: int) -> None:
+        out, tap = data[b0:b1], tap_out[b0:b1]
+        for kk in range(k):
+            np.matmul(w.data[:, :, kk], xp[b0:b1, :, kk * dilation : kk * dilation + t_len], out=tap)
+            out += tap
+        if bias is not None:
+            out += bias.data[:, None]
+
+    _fan_out(forward_slice, n)
 
     def backward_fn(g):
         g3 = g[None] if squeeze else g
-        if x.requires_grad:
+        need_x, need_w = x.requires_grad, w.requires_grad
+        if need_x:
             gxp = np.zeros_like(xp)
+            gx_tap = np.empty((n, c_in, t_len))
+        if need_w:
+            # Per-sample products of every tap; the sum over samples runs
+            # after the join so its order never depends on the worker count.
+            gw_taps = np.empty((k, n, c_out, c_in))
+
+        def backward_slice(b0: int, b1: int) -> None:
             for kk in range(k):
-                gxp[:, :, kk * dilation : kk * dilation + t_len] += np.matmul(
-                    w.data[:, :, kk].T, g3
-                )
+                window = slice(kk * dilation, kk * dilation + t_len)
+                if need_x:
+                    np.matmul(w.data[:, :, kk].T, g3[b0:b1], out=gx_tap[b0:b1])
+                    gxp[b0:b1, :, window] += gx_tap[b0:b1]
+                if need_w:
+                    np.matmul(g3[b0:b1], xp[b0:b1, :, window].swapaxes(1, 2), out=gw_taps[kk, b0:b1])
+
+        if need_x or need_w:
+            _fan_out(backward_slice, n)
+        if need_x:
             gx = gxp[:, :, pad:]
             _accumulate(x, gx[0] if squeeze else gx)
-        if w.requires_grad:
+        if need_w:
             gw = np.empty_like(w.data)
             for kk in range(k):
-                sl = xp[:, :, kk * dilation : kk * dilation + t_len]
-                gw[:, :, kk] = np.matmul(g3, sl.swapaxes(1, 2)).sum(axis=0)
+                gw[:, :, kk] = gw_taps[kk].sum(axis=0)
             _accumulate(w, gw)
         if bias is not None and bias.requires_grad:
             _accumulate(bias, g3.sum(axis=(0, 2)))
@@ -420,34 +496,65 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, scale: float, mode: str = 
         )
     scale = np.float64(scale)
     above = np.triu(np.ones((t_len, t_len), dtype=bool), k=1)
-    weights = np.matmul(q.data, np.swapaxes(k.data, -1, -2))
-    weights *= scale
-    np.copyto(weights, -np.inf if mode == "neg_inf" else 0.0, where=above)
-    row_max = np.max(weights, axis=-1, keepdims=True)
-    if np.any(np.isneginf(row_max)):
-        raise ValueError("softmax row is entirely -inf")
-    weights -= row_max
-    np.exp(weights, out=weights)
-    weights /= weights.sum(axis=-1, keepdims=True)
-    data = np.matmul(weights, v.data)
+    lead = np.broadcast_shapes(q.shape[:-2], k.shape[:-2], v.shape[:-2])
+    qd, kd, vd = (_batched(a.data, lead) for a in (q, k, v))
+    n = qd.shape[0]
+    weights = np.empty(qd.shape[:-1] + (t_len,))
+    data = np.empty(vd.shape)
+
+    def forward_slice(b0: int, b1: int) -> None:
+        p = weights[b0:b1]
+        np.matmul(qd[b0:b1], np.swapaxes(kd[b0:b1], -1, -2), out=p)
+        p *= scale
+        np.copyto(p, -np.inf if mode == "neg_inf" else 0.0, where=above)
+        row_max = np.max(p, axis=-1, keepdims=True)
+        if np.any(np.isneginf(row_max)):
+            raise ValueError("softmax row is entirely -inf")
+        p -= row_max
+        np.exp(p, out=p)
+        p /= p.sum(axis=-1, keepdims=True)
+        np.matmul(p, vd[b0:b1], out=data[b0:b1])
+
+    _fan_out(forward_slice, n)
 
     def backward_fn(g):
-        if v.requires_grad:
-            _accumulate(v, _unbroadcast(np.matmul(np.swapaxes(weights, -1, -2), g), v.shape))
-        if not (q.requires_grad or k.requires_grad):
-            return
-        gs = np.matmul(g, np.swapaxes(v.data, -1, -2))
-        gs -= np.sum(gs * weights, axis=-1, keepdims=True)
-        gs *= weights
-        np.copyto(gs, 0.0, where=above)
-        gs *= scale
-        if q.requires_grad:
-            _accumulate(q, _unbroadcast(np.matmul(gs, k.data), q.shape))
-        if k.requires_grad:
-            gk = np.swapaxes(np.matmul(np.swapaxes(q.data, -1, -2), gs), -1, -2)
-            _accumulate(k, _unbroadcast(gk, k.shape))
+        g3 = _batched(g, lead)
+        need_v, need_q, need_k = v.requires_grad, q.requires_grad, k.requires_grad
+        need_s = need_q or need_k
+        gv = np.empty(vd.shape) if need_v else None
+        if need_s:
+            gs = np.empty(weights.shape)
+            gs_p = np.empty(weights.shape)
+            gq = np.empty(qd.shape) if need_q else None
+            gk = np.empty(kd.shape[:-2] + (kd.shape[-1], t_len)) if need_k else None
 
-    return _make(data, (q, k, v), backward_fn, "causal_attention")
+        def backward_slice(b0: int, b1: int) -> None:
+            p = weights[b0:b1]
+            if need_v:
+                np.matmul(np.swapaxes(p, -1, -2), g3[b0:b1], out=gv[b0:b1])
+            if not need_s:
+                return
+            s = gs[b0:b1]
+            np.matmul(g3[b0:b1], np.swapaxes(vd[b0:b1], -1, -2), out=s)
+            np.multiply(s, p, out=gs_p[b0:b1])
+            s -= gs_p[b0:b1].sum(axis=-1, keepdims=True)
+            s *= p
+            np.copyto(s, 0.0, where=above)
+            s *= scale
+            if need_q:
+                np.matmul(s, kd[b0:b1], out=gq[b0:b1])
+            if need_k:
+                np.matmul(np.swapaxes(qd[b0:b1], -1, -2), s, out=gk[b0:b1])
+
+        _fan_out(backward_slice, n)
+        if need_v:
+            _accumulate(v, _unbroadcast(_unbatched(gv, lead), v.shape))
+        if need_q:
+            _accumulate(q, _unbroadcast(_unbatched(gq, lead), q.shape))
+        if need_k:
+            _accumulate(k, _unbroadcast(np.swapaxes(_unbatched(gk, lead), -1, -2), k.shape))
+
+    return _make(_unbatched(data, lead), (q, k, v), backward_fn, "causal_attention")
 
 
 # ---------------------------------------------------------------------------

@@ -2,15 +2,26 @@
 mini-batch loop, stratified k-fold plans, metrics, and ablation sweeps.
 
 Training is bitwise deterministic for fixed (dataset, configs, seed): all
-randomness comes from named sub-streams of the seed, batches reduce in a
-fixed order, and BLAS pools are pinned to one thread for the duration of a
-run (pools of different sizes may reduce in different orders).
+randomness comes from named sub-streams of the seed and batches reduce in a
+fixed order. Results are also independent of the core count and of the BLAS
+thread count:
+
+- the tensor kernels split batches across one worker thread per usable core
+  without changing any sample's float operations (see `tensor`);
+- `train` and `evaluate` pin BLAS to one thread for their duration, because
+  pools of different sizes may reduce in different orders. The pin uses
+  threadpoolctl when it imports and sees numpy's BLAS, and otherwise the
+  thread-count functions of the OpenBLAS in `numpy.libs` through ctypes. The
+  count is read back after setting it and restored on exit; `BlasPinError`
+  is raised when neither route can confirm one thread.
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import dataclasses
+import glob
 import json
 import os
 import time
@@ -32,18 +43,67 @@ from .seeding import named_rng
 from .tensor import Tensor, cross_entropy_mean
 
 try:
-    from threadpoolctl import threadpool_limits
+    import threadpoolctl
+except ImportError:
+    threadpoolctl = None
 
-    def _single_threaded_blas():
-        return threadpool_limits(limits=1)
 
-except ImportError:  # pragma: no cover - threadpoolctl is a declared dep
+class BlasPinError(RuntimeError):
+    """BLAS could not be pinned to one thread, or the pin could not be read back."""
 
-    def _single_threaded_blas():
-        return contextlib.nullcontext()
+
+def _openblas_thread_functions() -> Optional[tuple]:
+    """(get, set) thread-count functions of the OpenBLAS bundled with numpy,
+    or None when there is no such library or it exports neither symbol pair."""
+    libdir = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libdir, "*openblas*"))):
+        lib = ctypes.CDLL(path)
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _single_threaded_blas():
+    """Pin BLAS to one thread for the block and restore the old count after.
+
+    Uses threadpoolctl when it imports and sees numpy's BLAS; otherwise sets
+    the OpenBLAS bundled with numpy through ctypes. Either way the count is
+    read back, and BlasPinError is raised when the pin cannot be verified.
+    """
+    if threadpoolctl is not None:
+        controller = threadpoolctl.ThreadpoolController().select(user_api="blas")
+        if controller.lib_controllers:
+            with controller.limit(limits=1):
+                counts = [c.num_threads for c in controller.lib_controllers]
+                if counts != [1] * len(counts):
+                    raise BlasPinError(f"BLAS thread counts read back as {counts} after pinning to 1")
+                yield
+            return
+    functions = _openblas_thread_functions()
+    if functions is None:
+        raise BlasPinError(
+            "cannot pin BLAS to one thread: threadpoolctl does not import or finds no BLAS, "
+            "and numpy ships no OpenBLAS with a thread-count API"
+        )
+    get, set_ = functions
+    before = get()
+    set_(1)
+    try:
+        if get() != 1:
+            raise BlasPinError(f"OpenBLAS thread count read back as {get()} after pinning to 1")
+        yield
+    finally:
+        set_(before)
 
 
 __all__ = [
+    "BlasPinError",
     "TrainConfig",
     "AdamWState",
     "Metrics",

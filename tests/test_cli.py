@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from csi_tcn import train as train_mod
 from csi_tcn.cli import main
 
 CONFIG = {
@@ -262,6 +263,42 @@ def test_too_few_classes_for_labels_fails_cleanly(workspace, tmp_path, capsys):
     assert err.startswith("error: label 2 outside the model's classes [0, 2)")
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
+
+
+def test_class_mismatch_writes_no_output_directory(workspace, tmp_path, capsys):
+    root, cfg = workspace
+    out = tmp_path / "never"
+    code = main(
+        ["train", str(root / "prep" / "manifest.csv"), "--config", str(cfg), "--set", "model.n_classes=2", "--out", str(out)]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: label 2 outside the model's classes [0, 2)")
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
+def test_synth_rejects_more_classes_than_labels_before_writing(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(CONFIG))
+    out = tmp_path / "raw13"
+    code = main(["synth", "--config", str(cfg), "--set", "synth.classes=13", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "classes must be in [2, 12], got 13" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
+def test_unverifiable_blas_pin_fails_cleanly(workspace, tmp_path, monkeypatch, capsys):
+    root, cfg = workspace
+    monkeypatch.setattr(train_mod, "threadpoolctl", None)
+    monkeypatch.setattr(train_mod, "_openblas_thread_functions", lambda: None)
+    code = main(["train", str(root / "prep" / "manifest.csv"), "--config", str(cfg), "--out", str(tmp_path / "run")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot pin BLAS to one thread")
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_set_overrides_file(workspace, tmp_path):

@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -209,6 +212,126 @@ class TestCausalAttention:
             results.append((out.data, q.grad, k.grad, v.grad))
         for fused, composed, name in zip(*results, ("output", "q.grad", "k.grad", "v.grad")):
             assert np.array_equal(fused, composed), name
+
+
+def _forward_backward(op, arrays, needs_grad, seed):
+    """Output and every gradient of sum(op(*tensors) * c) for fixed random c."""
+    tensors = [None if a is None else Tensor(a.copy(), requires_grad=f) for a, f in zip(arrays, needs_grad)]
+    out = op(*tensors)
+    if out.requires_grad:
+        coeffs = Tensor(np.random.default_rng(seed).standard_normal(out.shape))
+        T.sum_over(T.mul(out, coeffs)).backward()
+    return [out.data] + [None if t is None else t.grad for t in tensors]
+
+
+def _assert_same_on_workers(monkeypatch, workers, op, arrays, needs_grad, seed=0):
+    monkeypatch.setattr(T, "_WORKERS", 1)
+    inline = _forward_backward(op, arrays, needs_grad, seed)
+    monkeypatch.setattr(T, "_WORKERS", workers)
+    pooled = _forward_backward(op, arrays, needs_grad, seed)
+    for i, (a, b) in enumerate(zip(inline, pooled)):
+        assert (a is None) == (b is None), i
+        assert a is None or np.array_equal(a, b), f"result {i} differs on {workers} workers"
+
+
+class TestFanOut:
+    def test_slices_cover_batch_on_pool_threads(self, monkeypatch):
+        monkeypatch.setattr(T, "_WORKERS", 3)
+        calls = []
+        T._fan_out(lambda b0, b1: calls.append((b0, b1, threading.current_thread().name)), 7)
+        assert sorted(c[:2] for c in calls) == [(0, 2), (2, 4), (4, 7)]
+        assert all(name.startswith("csi-tcn-kernel") for _, _, name in calls)
+
+    def test_single_worker_or_sample_runs_inline(self, monkeypatch):
+        for workers, n in ((1, 5), (4, 1)):
+            monkeypatch.setattr(T, "_WORKERS", workers)
+            calls = []
+            T._fan_out(lambda b0, b1: calls.append((b0, b1, threading.current_thread())), n)
+            assert calls == [(0, n, threading.current_thread())]
+
+    def test_error_raised_in_caller_after_every_slice_ran(self, monkeypatch):
+        monkeypatch.setattr(T, "_WORKERS", 3)
+        done = []
+
+        def fn(b0, b1):
+            if b0 == 0:
+                raise KeyError("first slice")
+            time.sleep(0.05)
+            done.append(b0)
+
+        with pytest.raises(KeyError, match="first slice"):
+            T._fan_out(fn, 3)
+        assert sorted(done) == [1, 2]
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize(
+        "x_shape, dilation, with_bias, x_grad",
+        [
+            ((2, 9), 1, True, True),  # squeezed (C_in, T)
+            ((1, 2, 9), 2, True, True),  # N = 1
+            ((3, 2, 9), 1, True, True),
+            ((5, 3, 11), 2, True, True),
+            ((4, 2, 13), 4, True, True),
+            ((5, 2, 9), 2, False, True),
+            ((5, 2, 9), 1, True, False),
+        ],
+    )
+    def test_conv_bitwise_equal_to_one_worker(self, monkeypatch, workers, x_shape, dilation, with_bias, x_grad):
+        rng = np.random.default_rng(x_shape[0] * 10 + dilation)
+        c_in = x_shape[-2]
+        arrays = [rng.standard_normal(x_shape), rng.standard_normal((3, c_in, 3))]
+        arrays.append(rng.standard_normal(3) if with_bias else None)
+        op = lambda x, w, b: T.causal_conv1d(x, w, b, dilation)  # noqa: E731
+        _assert_same_on_workers(monkeypatch, workers, op, arrays, [x_grad, True, True])
+
+    def test_conv_without_any_gradient(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        arrays = [rng.standard_normal((5, 2, 9)), rng.standard_normal((3, 2, 3)), rng.standard_normal(3)]
+        op = lambda x, w, b: T.causal_conv1d(x, w, b, 2)  # noqa: E731
+        _assert_same_on_workers(monkeypatch, 2, op, arrays, [False, False, False])
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("mode", ["neg_inf", "zero_literal"])
+    @pytest.mark.parametrize(
+        "q_shape, k_shape, v_shape",
+        [
+            ((3, 7, 4), (3, 7, 4), (3, 7, 5)),
+            ((5, 6, 3), (5, 6, 3), (5, 6, 3)),
+            ((3, 1, 4), (3, 1, 4), (3, 1, 2)),  # T = 1
+            ((6, 2), (6, 2), (6, 3)),  # unbatched
+            ((1, 5, 3), (4, 5, 3), (4, 5, 2)),  # broadcast batch axis
+        ],
+    )
+    def test_attention_bitwise_equal_to_one_worker(self, monkeypatch, workers, mode, q_shape, k_shape, v_shape):
+        rng = np.random.default_rng(q_shape[-2] * 7 + len(q_shape))
+        arrays = [rng.standard_normal(q_shape), rng.standard_normal(k_shape), rng.standard_normal(v_shape)]
+        op = lambda q, k, v: T.causal_attention(q, k, v, 0.6, mode)  # noqa: E731
+        _assert_same_on_workers(monkeypatch, workers, op, arrays, [True, True, True])
+        _assert_same_on_workers(monkeypatch, workers, op, arrays, [False, True, False])
+
+    def test_attention_all_neg_inf_row_raises_in_caller(self, monkeypatch):
+        monkeypatch.setattr(T, "_WORKERS", 2)
+        q = np.ones((3, 4, 2))
+        q[2, 0, :] = -np.inf  # sample 2 lies in the second worker's slice
+        with pytest.raises(ValueError, match="entirely -inf"):
+            T.causal_attention(Tensor(q), Tensor(np.ones((3, 4, 2))), Tensor(np.ones((3, 4, 2))), 1.0)
+
+    def test_more_workers_than_cores_under_fast_switching(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        conv = [rng.standard_normal((9, 4, 40)), rng.standard_normal((4, 4, 5)), rng.standard_normal(4)]
+        attn = [rng.standard_normal((9, 40, 6)) for _ in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                _assert_same_on_workers(
+                    monkeypatch, 8, lambda x, w, b: T.causal_conv1d(x, w, b, 4), conv, [True, True, True]
+                )
+                _assert_same_on_workers(
+                    monkeypatch, 8, lambda q, k, v: T.causal_attention(q, k, v, 0.4), attn, [True, True, True]
+                )
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestElementwiseAndDropout:

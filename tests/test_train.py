@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import csi_tcn
+from csi_tcn import train as train_mod
 from csi_tcn.model import ModelConfig, init_model
 from csi_tcn.seeding import named_rng
 from csi_tcn.tensor import Tensor
@@ -264,3 +269,62 @@ class TestAblate:
     def test_unknown_sweep_rejected(self, small_dataset):
         with pytest.raises(ValueError, match="sweep"):
             ablate(small_dataset, tiny_model(), TrainConfig(), "widths", [1])
+
+
+_STOCK_STEP = """
+import hashlib
+import numpy as np
+from csi_tcn.dsp import PreprocessedSample
+from csi_tcn.model import ModelConfig
+from csi_tcn.train import TrainConfig, train
+
+cfg = ModelConfig()
+rng = np.random.default_rng(3)
+data = [PreprocessedSample(rng.uniform(-1.0, 1.0, (6, 375, cfg.in_features)), label=c) for c in (0, 1)]
+params, _ = train(data, cfg, TrainConfig(batch_size=2, epochs=1, shuffle=False))
+digest = hashlib.sha256()
+for name, p in sorted(params.named().items()):
+    digest.update(name.encode())
+    digest.update(p.data.tobytes())
+print(digest.hexdigest())
+"""
+
+
+class TestBlasPin:
+    def test_pin_reads_one_inside_and_restores_after(self):
+        functions = train_mod._openblas_thread_functions()
+        if functions is None:
+            pytest.skip("numpy ships no OpenBLAS with a thread-count API here")
+        get, set_ = functions
+        original = get()
+        set_(2)
+        try:
+            with train_mod._single_threaded_blas():
+                assert get() == 1
+            assert get() == 2
+        finally:
+            set_(original)
+
+    def test_pin_that_does_not_read_back_is_an_error(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(train_mod, "threadpoolctl", None)
+        monkeypatch.setattr(train_mod, "_openblas_thread_functions", lambda: (lambda: 4, calls.append))
+        with pytest.raises(train_mod.BlasPinError, match="read back as 4"):
+            with train_mod._single_threaded_blas():
+                pass
+        assert calls == [1, 4]
+
+    def test_stock_step_independent_of_blas_threads(self):
+        # One stock-shape step (T=375, 50 filters, kernel 15) on 2 samples,
+        # in fresh interpreters whose OpenBLAS pools start at 1 and 2 threads.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(csi_tcn.__file__)))
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+            proc = subprocess.run(
+                [sys.executable, "-c", _STOCK_STEP], env=env, capture_output=True, text=True, timeout=300
+            )
+            assert proc.returncode == 0, proc.stderr
+            digests.append(proc.stdout.strip())
+        assert digests[0] == digests[1], "parameters depend on the BLAS thread count"
