@@ -1,20 +1,21 @@
 """Dataset augmentation: value dropout and three-sample mixing.
 
-The primary operators act on preprocessed samples, keep tensor shape and
-label, and draw their randomness from explicit generators so expansion is
-reproducible and schedule-independent. `expand_recordings` applies the same
-operators to raw complex recordings for before/after-pipeline comparisons.
+The operators keep tensor shape and label and draw their randomness from
+explicit generators, so expansion is reproducible and schedule-independent.
+One expander, `augmented`, serves both domains and takes the domain from the
+input: float grids are preprocessed samples (pairs, packets, subcarriers);
+int8 grids are raw complex recordings with a trailing (re, im) axis, whose
+outputs are rounded back into the signed 8-bit grid.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .csi_data import CsiRecording
 from .dsp import PreprocessedSample
 from .seeding import named_rng
 
@@ -23,10 +24,8 @@ __all__ = [
     "AugmentConfig",
     "dropout_augment",
     "mix_samples",
-    "mix_other",
-    "mix_same",
+    "augmented",
     "expand_dataset",
-    "expand_recordings",
 ]
 
 
@@ -58,6 +57,36 @@ class AugmentConfig:
         self.methods = tuple(AugmentMethod(m) for m in self.methods)
 
 
+# The operators take float or int8 grids and compute in float64. Each input
+# is converted inside the expression that consumes it, so no float copy
+# outlives its term: a raw recording is 8x larger in float64.
+
+
+def _dropout(
+    x: np.ndarray, rng: np.random.Generator, lambda_max: float, lam: Optional[float] = None
+) -> np.ndarray:
+    # One draw per (pair, packet, subcarrier) cell, so a raw drop zeroes a
+    # whole complex value.
+    if lam is None:
+        lam = rng.uniform(0.0, lambda_max)
+    if not 0.0 <= lam <= 1.0:
+        raise ValueError(f"dropout probability {lam} outside [0, 1]")
+    keep = rng.random(x.shape[:3]) >= lam
+    return np.asarray(x, np.float64) * keep.reshape(keep.shape + (1,) * (x.ndim - 3))
+
+
+def _mix(
+    a: np.ndarray, b: np.ndarray, c: np.ndarray, eps1: float, eps2: float, eps3: float
+) -> np.ndarray:
+    if not (a.shape == b.shape == c.shape):
+        raise ValueError(f"shape mismatch: {a.shape}, {b.shape}, {c.shape}")
+    for eps in (eps1, eps2, eps3):
+        if not 0.0 <= eps < 0.5:
+            raise ValueError(f"mixing rate {eps} outside [0, 0.5)")
+    f64 = np.float64
+    return np.asarray(a, f64) * (1.0 - eps1) + np.asarray(b, f64) * eps2 + np.asarray(c, f64) * eps3
+
+
 def dropout_augment(
     sample: PreprocessedSample,
     rng: np.random.Generator,
@@ -68,12 +97,7 @@ def dropout_augment(
 
     `lam` overrides the drawn probability (test hook).
     """
-    if lam is None:
-        lam = rng.uniform(0.0, lambda_max)
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"dropout probability {lam} outside [0, 1]")
-    keep = rng.random(sample.data.shape) >= lam
-    return PreprocessedSample(data=sample.data * keep, label=sample.label)
+    return PreprocessedSample(data=_dropout(sample.data, rng, lambda_max, lam), label=sample.label)
 
 
 def mix_samples(
@@ -85,145 +109,69 @@ def mix_samples(
     eps3: float,
 ) -> PreprocessedSample:
     """D = A*(1 - eps1) + B*eps2 + C*eps3, inheriting A's label."""
-    if not (a.data.shape == b.data.shape == c.data.shape):
-        raise ValueError(
-            f"shape mismatch: {a.data.shape}, {b.data.shape}, {c.data.shape}"
-        )
-    for eps in (eps1, eps2, eps3):
-        if not 0.0 <= eps < 0.5:
-            raise ValueError(f"mixing rate {eps} outside [0, 0.5)")
-    mixed = a.data * (1.0 - eps1) + b.data * eps2 + c.data * eps3
-    return PreprocessedSample(data=mixed, label=a.label)
+    return PreprocessedSample(data=_mix(a.data, b.data, c.data, eps1, eps2, eps3), label=a.label)
 
 
-def _draw_and_mix(
-    donors: Sequence[PreprocessedSample],
-    a: PreprocessedSample,
-    rng: np.random.Generator,
-    epsilon_max: float,
-) -> PreprocessedSample:
-    # Draw order (B, C, eps1..3) is part of the determinism contract.
-    b = donors[int(rng.integers(len(donors)))]
-    c = donors[int(rng.integers(len(donors)))]
-    eps1, eps2, eps3 = rng.uniform(0.0, epsilon_max, size=3)
-    return mix_samples(a, b, c, eps1, eps2, eps3)
+def augmented(
+    grids: Sequence[np.ndarray], labels: Sequence[int], cfg: AugmentConfig
+) -> Iterator[tuple[tuple[AugmentMethod, int, int], np.ndarray]]:
+    """Yield `((method, copy, source index), grid)` for every new sample, in
+    method x copy x source order: `copies_per_method` outputs per method for
+    each input, each with its own RNG stream, so an output does not depend on
+    generation order.
 
+    MIX_OTHER draws both donors from the inputs with a different label,
+    MIX_SAME from the other inputs with the source's label; each donor pool
+    keeps input order. All grids must share one shape (gate/trim first).
+    """
+    if not grids:
+        return
+    if any(g.shape != grids[0].shape for g in grids):
+        raise ValueError("inputs must share one shape; gate/trim before augmenting")
+    raw = grids[0].dtype == np.int8
+    stream, kind = ("augment_raw", "recordings") if raw else ("augment", "samples")
+    same: dict[int, list[int]] = {}
+    for i, label in enumerate(labels):
+        same.setdefault(label, []).append(i)
+    other = {lb: [j for j, l in enumerate(labels) if l != lb] for lb in same}
+    rank = {j: p for pool in same.values() for p, j in enumerate(pool)}
 
-def mix_other(
-    dataset: Sequence[PreprocessedSample],
-    a: PreprocessedSample,
-    rng: np.random.Generator,
-    epsilon_max: float = 0.05,
-) -> PreprocessedSample:
-    """Mix `a` with two donors whose labels differ from a's."""
-    donors = [s for s in dataset if s.label != a.label]
-    if not donors:
-        raise ValueError(f"no donor samples with label != {a.label}")
-    return _draw_and_mix(donors, a, rng, epsilon_max)
-
-
-def mix_same(
-    dataset: Sequence[PreprocessedSample],
-    a: PreprocessedSample,
-    rng: np.random.Generator,
-    epsilon_max: float = 0.05,
-) -> PreprocessedSample:
-    """Mix `a` with two other donors sharing a's label."""
-    donors = [s for s in dataset if s.label == a.label and s is not a]
-    if len(donors) < 2:
-        raise ValueError(
-            f"need >= 2 other samples with label {a.label}, found {len(donors)}"
-        )
-    return _draw_and_mix(donors, a, rng, epsilon_max)
+    for m_idx, method in enumerate(cfg.methods):
+        for copy in range(cfg.copies_per_method):
+            for i, label in enumerate(labels):
+                rng = named_rng(cfg.seed, stream, m_idx, copy, i)
+                if method is AugmentMethod.DROPOUT:
+                    out = _dropout(grids[i], rng, cfg.dropout_lambda_max)
+                else:
+                    same_label = method is AugmentMethod.MIX_SAME
+                    pool = same[label] if same_label else other[label]
+                    n = len(pool) - same_label
+                    if same_label and n < 2:
+                        raise ValueError(f"need >= 2 other {kind} with label {label}, found {n}")
+                    if not n:
+                        raise ValueError(f"no donor {kind} with label != {label}")
+                    # Draw order (B, C, eps1..3) is part of the determinism contract.
+                    ks = [int(rng.integers(n)), int(rng.integers(n))]
+                    if same_label:  # skip the source's own slot in its pool
+                        ks = [k + (k >= rank[i]) for k in ks]
+                    eps1, eps2, eps3 = rng.uniform(0.0, cfg.mix_epsilon_max, size=3)
+                    b, c = (grids[pool[k]] for k in ks)
+                    out = _mix(grids[i], b, c, eps1, eps2, eps3)
+                if raw:  # `out` is the operator's own fresh array: round in place
+                    out = np.clip(np.rint(out, out=out), -128, 127, out=out).astype(np.int8)
+                yield (method, copy, i), out
 
 
 def expand_dataset(
     dataset: Sequence[PreprocessedSample], cfg: AugmentConfig
 ) -> list[PreprocessedSample]:
-    """Originals plus, per enabled method, `copies_per_method` new samples for
-    every original. RNG streams are keyed per output sample, so the result is
-    independent of generation order.
-    """
+    """Originals followed by `augmented`'s outputs, each labelled like its source."""
     for s in dataset:
         if s.label is None:
             raise ValueError("expand_dataset requires labelled samples")
-    out = list(dataset)
-    for m_idx, method in enumerate(cfg.methods):
-        for copy in range(cfg.copies_per_method):
-            for i, a in enumerate(dataset):
-                rng = named_rng(cfg.seed, "augment", m_idx, copy, i)
-                if method is AugmentMethod.DROPOUT:
-                    out.append(dropout_augment(a, rng, cfg.dropout_lambda_max))
-                elif method is AugmentMethod.MIX_OTHER:
-                    out.append(mix_other(dataset, a, rng, cfg.mix_epsilon_max))
-                else:
-                    out.append(mix_same(dataset, a, rng, cfg.mix_epsilon_max))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Raw-domain variant: the same operators applied to complex recordings before
-# preprocessing (comparison mode). Mixing happens in float and is rounded back
-# into the signed 8-bit grid.
-
-
-def _rec_to_float(rec: CsiRecording) -> np.ndarray:
-    return rec.data.astype(np.float64)
-
-
-def _float_to_rec(values: np.ndarray, template: CsiRecording) -> CsiRecording:
-    quantized = np.clip(np.rint(values), -128, 127).astype(np.int8)
-    return CsiRecording(
-        n_t=template.n_t,
-        n_r=template.n_r,
-        n_p=template.n_p,
-        n_s=template.n_s,
-        data=quantized,
-    )
-
-
-def expand_recordings(
-    recordings: Sequence[tuple[CsiRecording, int]], cfg: AugmentConfig
-) -> list[tuple[CsiRecording, int]]:
-    """`expand_dataset` semantics on (recording, label) pairs.
-
-    Dropout zeroes whole complex values; mixing follows the same three-sample
-    rule with the donor-label constraints of each method. All recordings must
-    share one shape (gate/trim first).
-    """
-    if not recordings:
-        return []
-    shape = recordings[0][0].data.shape
-    for rec, _ in recordings:
-        if rec.data.shape != shape:
-            raise ValueError("recordings must share one shape; gate/trim before augmenting")
-    out = list(recordings)
-    for m_idx, method in enumerate(cfg.methods):
-        for copy in range(cfg.copies_per_method):
-            for i, (a, label) in enumerate(recordings):
-                rng = named_rng(cfg.seed, "augment_raw", m_idx, copy, i)
-                if method is AugmentMethod.DROPOUT:
-                    lam = rng.uniform(0.0, cfg.dropout_lambda_max)
-                    keep = rng.random(a.data.shape[:-1]) >= lam
-                    mixed = _rec_to_float(a) * keep[..., None]
-                else:
-                    if method is AugmentMethod.MIX_OTHER:
-                        donors = [r for r, lb in recordings if lb != label]
-                        if not donors:
-                            raise ValueError(f"no donor recordings with label != {label}")
-                    else:
-                        donors = [r for r, lb in recordings if lb == label and r is not a]
-                        if len(donors) < 2:
-                            raise ValueError(
-                                f"need >= 2 other recordings with label {label}"
-                            )
-                    b = donors[int(rng.integers(len(donors)))]
-                    c = donors[int(rng.integers(len(donors)))]
-                    eps1, eps2, eps3 = rng.uniform(0.0, cfg.mix_epsilon_max, size=3)
-                    mixed = (
-                        _rec_to_float(a) * (1.0 - eps1)
-                        + _rec_to_float(b) * eps2
-                        + _rec_to_float(c) * eps3
-                    )
-                out.append((_float_to_rec(mixed, a), label))
-    return out
+    grids = [s.data for s in dataset]
+    labels = [s.label for s in dataset]
+    return list(dataset) + [
+        PreprocessedSample(data=g, label=labels[i])
+        for (_, _, i), g in augmented(grids, labels, cfg)
+    ]

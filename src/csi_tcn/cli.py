@@ -11,12 +11,13 @@ non-reproducible artifact.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from typing import Optional
 
 from . import __version__
-from .augment import expand_dataset, expand_recordings
+from .augment import augmented
 from .config import ConfigError, RunConfig, load_run_config, run_config_to_dict
 from .csi_data import (
     CsiFormatError,
@@ -29,7 +30,7 @@ from .csi_data import (
     save_manifest,
     save_recording,
 )
-from .dsp import load_sample, preprocess, save_sample
+from .dsp import PreprocessedSample, load_sample, preprocess, save_sample
 from .gradchecks import run_battery
 from .model import load_checkpoint, model_config_to_dict, save_checkpoint
 from .train import (
@@ -160,7 +161,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def cmd_preprocess(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     manifest = load_manifest(args.manifest)
-    os.makedirs(args.out, exist_ok=True)
     entries = []
     taken: set[str] = set()
     discarded = 0
@@ -179,6 +179,8 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
         )
         name = _unique_stem(entry.path, taken) + ".csp"
         path = os.path.join(args.out, name)
+        if not entries:
+            os.makedirs(args.out, exist_ok=True)
         save_sample(sample, path)
         entries.append(
             ManifestEntry(path=path, label=entry.label, pair_id=entry.pair_id, trial_id=entry.trial_id)
@@ -194,48 +196,39 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
 
 def cmd_augment(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    manifest = load_manifest(args.manifest)
+    base = list(load_manifest(args.manifest))
+    labels = [e.label for e in base]
+    if args.stage == "post":
+        grids = [s.data for s in _load_samples(base)]
+        suffix = ".csp"
+
+        def write(i, grid, path):
+            save_sample(PreprocessedSample(data=grid, label=labels[i]), path)
+
+    else:
+        recordings = [load_recording(e.path) for e in base]
+        grids = [r.data for r in recordings]
+        suffix = ".csi"
+
+        def write(i, grid, path):
+            save_recording(dataclasses.replace(recordings[i], data=grid), path)
+
+    # Expand completely before creating --out, so a failure leaves nothing behind.
+    outputs = [(e.path, i, grids[i]) for i, e in enumerate(base)] + [
+        (f"aug_{method.value}_{copy}_{i:05d}", i, grid)
+        for (method, copy, i), grid in augmented(grids, labels, cfg.augment)
+    ]
     os.makedirs(args.out, exist_ok=True)
     entries = []
     taken: set[str] = set()
-    base = list(manifest)
-
-    if args.stage == "post":
-        samples = _load_samples(manifest)
-        expanded = expand_dataset(samples, cfg.augment)
-        writer, suffix = save_sample, ".csp"
-        items = expanded
-    else:
-        recordings = [(load_recording(e.path), e.label) for e in manifest]
-        expanded_recs = expand_recordings(recordings, cfg.augment)
-        writer, suffix = save_recording, ".csi"
-        items = expanded_recs
-
-    n_base = len(base)
-    for j, item in enumerate(items):
-        if j < n_base:
-            src = base[j]
-            name = _unique_stem(src.path, taken) + suffix
-            pair_id, trial_id = src.pair_id, src.trial_id
-        else:
-            k = j - n_base
-            method_idx, rest = divmod(k, cfg.augment.copies_per_method * n_base)
-            copy_idx, base_idx = divmod(rest, n_base)
-            src = base[base_idx]
-            method = cfg.augment.methods[method_idx].value
-            name = _unique_stem(f"aug_{method}_{copy_idx}_{base_idx:05d}", taken) + suffix
-            pair_id, trial_id = src.pair_id, src.trial_id
-        path = os.path.join(args.out, name)
-        if args.stage == "post":
-            writer(item, path)
-            label = item.label
-        else:
-            rec, label = item
-            writer(rec, path)
-        entries.append(ManifestEntry(path=path, label=label, pair_id=pair_id, trial_id=trial_id))
+    for stem, i, grid in outputs:
+        path = os.path.join(args.out, _unique_stem(stem, taken) + suffix)
+        write(i, grid, path)
+        src = base[i]
+        entries.append(ManifestEntry(path=path, label=src.label, pair_id=src.pair_id, trial_id=src.trial_id))
     save_manifest(DatasetManifest(entries=entries), os.path.join(args.out, "manifest.csv"))
     print(
-        f"expanded {n_base} -> {len(entries)} samples "
+        f"expanded {len(base)} -> {len(entries)} samples "
         f"({', '.join(m.value for m in cfg.augment.methods)}) to {args.out}"
     )
     return 0

@@ -71,7 +71,6 @@ def run_battery(include_model: bool = True) -> list[BatteryRow]:
     b = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
     c_add = _coeffs(rng, (3, 4))
     check("add", lambda x, y: _weighted_sum(T.add(x, y), c_add), [a, b])
-    check("sub", lambda x, y: _weighted_sum(T.sub(x, y), c_add), [a, b])
     check("mul", lambda x, y: _weighted_sum(T.mul(x, y), c_add), [a, b])
 
     bias = Tensor(rng.standard_normal(4), requires_grad=True)
@@ -79,7 +78,6 @@ def run_battery(include_model: bool = True) -> list[BatteryRow]:
 
     p = Tensor(_away_from_zero(rng, (2, 3)), requires_grad=True)
     c_p = _coeffs(rng, (2, 3))
-    check("power", lambda x: _weighted_sum(T.power(x, 3.0), c_p), [p])
     check("relu", lambda x: _weighted_sum(T.relu(x), c_p), [p])
 
     t5 = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)

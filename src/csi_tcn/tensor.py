@@ -33,7 +33,6 @@ import numpy as np
 __all__ = [
     "Tensor",
     "add",
-    "sub",
     "mul",
     "matmul",
     "transpose",
@@ -96,12 +95,6 @@ class Tensor:
     def __radd__(self, other):
         return add(_wrap(other), self)
 
-    def __sub__(self, other):
-        return sub(self, _wrap(other))
-
-    def __rsub__(self, other):
-        return sub(_wrap(other), self)
-
     def __mul__(self, other):
         return mul(self, _wrap(other))
 
@@ -115,9 +108,6 @@ class Tensor:
         if isinstance(other, Tensor):
             raise TypeError("tensor/tensor division is not supported")
         return mul(self, _wrap(1.0 / float(other)))
-
-    def __pow__(self, exponent):
-        return power(self, float(exponent))
 
     def __matmul__(self, other):
         return matmul(self, _wrap(other))
@@ -230,16 +220,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _make(data, (a, b), backward_fn, "add")
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data - b.data
-
-    def backward_fn(g):
-        _accumulate(a, _unbroadcast(g, a.shape))
-        _accumulate(b, _unbroadcast(-g, b.shape))
-
-    return _make(data, (a, b), backward_fn, "sub")
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     data = a.data * b.data
 
@@ -250,15 +230,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
             _accumulate(b, _unbroadcast(g * a.data, b.shape))
 
     return _make(data, (a, b), backward_fn, "mul")
-
-
-def power(a: Tensor, exponent: float) -> Tensor:
-    data = a.data**exponent
-
-    def backward_fn(g):
-        _accumulate(a, g * exponent * a.data ** (exponent - 1.0))
-
-    return _make(data, (a,), backward_fn, "pow")
 
 
 def relu(a: Tensor) -> Tensor:

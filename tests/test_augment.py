@@ -1,19 +1,31 @@
+import json
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import augment_reference as reference
 from csi_tcn.augment import (
     AugmentConfig,
     AugmentMethod,
+    augmented,
     dropout_augment,
     expand_dataset,
-    expand_recordings,
-    mix_other,
     mix_samples,
-    mix_same,
 )
-from csi_tcn.dsp import PreprocessedSample
+from csi_tcn.cli import main
+from csi_tcn.config import load_run_config
+from csi_tcn.csi_data import (
+    DatasetManifest,
+    ManifestEntry,
+    load_manifest,
+    load_recording,
+    save_manifest,
+    save_recording,
+)
+from csi_tcn.dsp import PreprocessedSample, load_sample, save_sample
 from csi_tcn.seeding import named_rng
 
 from conftest import random_recording
@@ -105,44 +117,62 @@ class TestMixSamples:
         assert np.allclose(d.data, expected, atol=1e-12)
 
 
+def mixed(dataset, method, seed, copies=1):
+    """The new samples one mixing method makes from `dataset`."""
+    cfg = AugmentConfig(methods=(method,), copies_per_method=copies, seed=seed)
+    return expand_dataset(dataset, cfg)[len(dataset):]
+
+
 class TestDonorSelection:
     def test_mix_other_labels_differ(self):
         dataset = tiny_dataset(per_class=4, classes=12)
-        a = dataset[0]
-        rng = named_rng(1, "mix")
-        for _ in range(20):
-            d = mix_other(dataset, a, rng)
+        out = mixed(dataset, "mix_other", seed=1, copies=20)
+        assert len(out) == 20 * len(dataset)
+        for d, a in zip(out, dataset * 20):
             assert d.label == a.label
+
+    def test_provenance_in_method_copy_source_order(self):
+        dataset = tiny_dataset(per_class=3)
+        cfg = AugmentConfig(methods=("mix_same", "dropout"), copies_per_method=2, seed=1)
+        origins = [o for o, _ in augmented([s.data for s in dataset], [s.label for s in dataset], cfg)]
+        assert origins == [
+            (m, c, i) for m in cfg.methods for c in range(2) for i in range(len(dataset))
+        ]
 
     def test_mix_other_requires_foreign_label(self):
         dataset = tiny_dataset(per_class=4, classes=1)
         with pytest.raises(ValueError, match="donor"):
-            mix_other(dataset, dataset[0], named_rng(0, "mix"))
+            mixed(dataset, "mix_other", seed=0)
 
     def test_mix_other_deterministic(self):
         dataset = tiny_dataset(per_class=4)
-        d1 = mix_other(dataset, dataset[0], named_rng(9, "mix"))
-        d2 = mix_other(dataset, dataset[0], named_rng(9, "mix"))
-        assert np.array_equal(d1.data, d2.data)
+        d1 = mixed(dataset, "mix_other", seed=9)
+        d2 = mixed(dataset, "mix_other", seed=9)
+        assert all(np.array_equal(s.data, t.data) for s, t in zip(d1, d2))
 
     def test_mix_same_requires_two_others(self):
         dataset = tiny_dataset(per_class=2)
         with pytest.raises(ValueError, match=">= 2"):
-            mix_same(dataset, dataset[0], named_rng(0, "mix"))
+            mixed(dataset, "mix_same", seed=0)
 
     def test_mix_same_excludes_self_and_keeps_label(self):
         dataset = tiny_dataset(per_class=3)
-        a = dataset[0]
-        d = mix_same(dataset, a, named_rng(2, "mix"))
-        assert d.label == a.label
-        # with eps < 0.5 the result cannot equal any single donor
-        assert not any(np.array_equal(d.data, s.data) for s in dataset)
+        for a, d in zip(dataset, mixed(dataset, "mix_same", seed=2)):
+            assert d.label == a.label
+            # with eps < 0.5 the result cannot equal any single donor
+            assert not any(np.array_equal(d.data, s.data) for s in dataset)
+
+    def test_mix_same_excludes_source_by_index(self):
+        # A second slot holding the source's object is a donor like any other;
+        # only the source's own slot is left out.
+        s, t, _ = tiny_dataset(per_class=3, classes=1)
+        assert len(mixed([s, s, t], "mix_same", seed=3)) == 3
 
     def test_mix_same_deterministic(self):
         dataset = tiny_dataset(per_class=3)
-        d1 = mix_same(dataset, dataset[1], named_rng(4, "mix"))
-        d2 = mix_same(dataset, dataset[1], named_rng(4, "mix"))
-        assert np.array_equal(d1.data, d2.data)
+        d1 = mixed(dataset, "mix_same", seed=4)
+        d2 = mixed(dataset, "mix_same", seed=4)
+        assert all(np.array_equal(s.data, t.data) for s, t in zip(d1, d2))
 
 
 class TestExpandDataset:
@@ -190,32 +220,147 @@ class TestExpandDataset:
             expand_dataset([s], AugmentConfig())
 
 
-class TestExpandRecordings:
+class TestAugmentedRaw:
     def test_counts_and_determinism(self):
         rng = np.random.default_rng(0)
-        recs = [(random_recording(rng, n_p=16, n_s=4), c) for c in range(3) for _ in range(3)]
+        recs = [random_recording(rng, n_p=16, n_s=4) for _ in range(9)]
+        labels = [c for c in range(3) for _ in range(3)]
         cfg = AugmentConfig(seed=5)
-        a = expand_recordings(recs, cfg)
-        b = expand_recordings(recs, cfg)
-        assert len(a) == len(recs) * 4
-        for (ra, la), (rb, lb) in zip(a, b):
-            assert la == lb and np.array_equal(ra.data, rb.data)
+        a = list(augmented([r.data for r in recs], labels, cfg))
+        b = list(augmented([r.data for r in recs], labels, cfg))
+        assert len(a) == len(recs) * 3
+        for (oa, ga), (ob, gb) in zip(a, b):
+            assert oa == ob and np.array_equal(ga, gb)
 
     def test_values_stay_in_int8(self):
         rng = np.random.default_rng(1)
-        recs = [(random_recording(rng, n_p=8, n_s=2), c) for c in range(3) for _ in range(3)]
-        out = expand_recordings(recs, AugmentConfig(seed=2))
-        for rec, _ in out:
-            assert rec.data.dtype == np.int8
+        recs = [random_recording(rng, n_p=8, n_s=2) for _ in range(9)]
+        labels = [c for c in range(3) for _ in range(3)]
+        for _, grid in augmented([r.data for r in recs], labels, AugmentConfig(seed=2)):
+            assert grid.dtype == np.int8
+
+    def test_dropout_zeroes_whole_complex_values(self):
+        rng = np.random.default_rng(3)
+        recs = [random_recording(rng, n_p=64, n_s=8) for _ in range(2)]
+        cfg = AugmentConfig(methods=("dropout",), dropout_lambda_max=0.9, seed=1)
+        for (_, _, i), grid in augmented([r.data for r in recs], [0, 1], cfg):
+            kept = (grid == recs[i].data).all(axis=-1)
+            dropped = (grid == 0).all(axis=-1)
+            assert dropped.any() and (kept | dropped).all()
+
+    def test_donor_errors_name_recordings(self):
+        rng = np.random.default_rng(4)
+        grids = [random_recording(rng, n_p=8, n_s=2).data for _ in range(4)]
+        with pytest.raises(ValueError, match="no donor recordings"):
+            list(augmented(grids, [0] * 4, AugmentConfig(methods=("mix_other",))))
+        with pytest.raises(ValueError, match=">= 2 other recordings with label 0"):
+            list(augmented(grids, [0, 0, 1, 1], AugmentConfig(methods=("mix_same",))))
 
     def test_shape_mismatch_rejected(self):
         rng = np.random.default_rng(2)
-        recs = [
-            (random_recording(rng, n_p=8, n_s=2), 0),
-            (random_recording(rng, n_p=10, n_s=2), 1),
-        ]
+        grids = [random_recording(rng, n_p=8, n_s=2).data, random_recording(rng, n_p=10, n_s=2).data]
         with pytest.raises(ValueError, match="share one shape"):
-            expand_recordings(recs, AugmentConfig())
+            list(augmented(grids, [0, 1], AugmentConfig()))
+
+
+# The earlier two-expander code in augment_reference.py is the oracle: every
+# output must match it bit for bit, in both domains.
+REFERENCE_CONFIGS = [
+    {},
+    {"methods": ["mix_same", "dropout"], "copies_per_method": 3, "seed": 2},
+    {"methods": ["mix_other", "mix_same"], "mix_epsilon_max": 0.3, "dropout_lambda_max": 0.4, "seed": 9},
+    {
+        "methods": ["dropout", "mix_same", "mix_other"],
+        "copies_per_method": 3,
+        "mix_epsilon_max": 0.45,
+        "dropout_lambda_max": 0.9,
+        "seed": 1,
+    },
+]
+
+
+def mixed_dim_recordings(seed: int, labels):
+    """Recordings of one data shape whose antenna layouts alternate 2x3 / 3x2."""
+    rng = np.random.default_rng(seed)
+    recs = []
+    for k, _ in enumerate(labels):
+        n_t, n_r = (2, 3) if k % 2 else (3, 2)
+        recs.append(random_recording(rng, n_t=n_t, n_r=n_r, n_p=12, n_s=4))
+    return recs
+
+
+LABELS = [0, 2, 1, 0, 1, 2, 2, 0, 1, 1, 0, 2]
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("fields", REFERENCE_CONFIGS)
+    def test_samples_bitwise(self, fields):
+        cfg = AugmentConfig(**fields)
+        dataset = tiny_dataset(per_class=4, width=6, seed=3)
+        new = expand_dataset(dataset, cfg)
+        ref = reference.expand_dataset(dataset, cfg)
+        assert len(new) == len(ref)
+        for s, t in zip(new, ref):
+            assert s.label == t.label and s.data.tobytes() == t.data.tobytes()
+
+    @pytest.mark.parametrize("fields", REFERENCE_CONFIGS)
+    def test_recordings_bitwise(self, fields):
+        cfg = AugmentConfig(**fields)
+        recs = mixed_dim_recordings(7, LABELS)
+        ref = reference.expand_recordings(list(zip(recs, LABELS)), cfg)[len(recs):]
+        new = list(augmented([r.data for r in recs], LABELS, cfg))
+        assert len(new) == len(ref)
+        for ((_, _, i), grid), (rec, label) in zip(new, ref):
+            assert grid.dtype == np.int8 and grid.tobytes() == rec.data.tobytes()
+            assert LABELS[i] == label and (recs[i].n_t, recs[i].n_r) == (rec.n_t, rec.n_r)
+
+    @pytest.mark.parametrize("stage", ["post", "pre"])
+    @pytest.mark.parametrize("fields", REFERENCE_CONFIGS)
+    def test_cli_files_bitwise(self, tmp_path, stage, fields):
+        """`augment` writes the reference's data, labels, antenna dims and file
+        names, including stem collisions between inputs and generated names."""
+        overrides = [f"augment.{k}={json.dumps(v)}" for k, v in fields.items()]
+        cfg = load_run_config(None, overrides, None).augment
+        suffix = ".csp" if stage == "post" else ".csi"
+        recs = mixed_dim_recordings(11, LABELS)
+        samples = tiny_dataset(per_class=4, width=6, seed=5)
+        entries = []
+        for k, label in enumerate(LABELS):
+            # Two inputs share a stem, and one takes a generated output's name.
+            stem = "aug_dropout_0_00001" if k == 3 else f"rec_{k % 5:03d}"
+            path = tmp_path / f"in{k}" / (stem + suffix)
+            path.parent.mkdir()
+            if stage == "post":
+                save_sample(PreprocessedSample(data=samples[k].data, label=label), path)
+            else:
+                save_recording(recs[k], path)
+            entries.append(ManifestEntry(path=str(path), label=label, pair_id=k % 3, trial_id=k))
+        manifest = tmp_path / "manifest.csv"
+        save_manifest(DatasetManifest(entries=entries), manifest)
+
+        out = tmp_path / "out"
+        args = ["augment", str(manifest), "--stage", stage, "--out", str(out)]
+        assert main(args + [a for o in overrides for a in ("--set", o)]) == 0
+
+        base = list(load_manifest(manifest))
+        if stage == "post":
+            inputs = [load_sample(e.path, label=e.label) for e in base]
+            ref = [(s.data, s.label, None) for s in reference.expand_dataset(inputs, cfg)]
+        else:
+            pairs = [(load_recording(e.path), e.label) for e in base]
+            ref = [(r.data, label, (r.n_t, r.n_r)) for r, label in reference.expand_recordings(pairs, cfg)]
+        names = reference.reference_names(base, len(ref), cfg, suffix)
+        written = list(load_manifest(out / "manifest.csv"))
+        assert len(written) == len(ref) == len(names)
+        assert len({e.path for e in written}) == len(written)
+        for entry, (data, label, dims), (name, pair_id, trial_id) in zip(written, ref, names):
+            assert os.path.basename(entry.path) == name
+            assert (entry.label, entry.pair_id, entry.trial_id) == (label, pair_id, trial_id)
+            if stage == "post":
+                assert load_sample(entry.path).data.tobytes() == data.tobytes()
+            else:
+                rec = load_recording(entry.path)
+                assert rec.data.tobytes() == data.tobytes() and (rec.n_t, rec.n_r) == dims
 
 
 def test_config_validation():

@@ -290,6 +290,35 @@ def test_synth_rejects_more_classes_than_labels_before_writing(tmp_path, capsys)
     assert not out.exists()
 
 
+def test_failed_augment_writes_no_output_directory(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(CONFIG))
+    raw = tmp_path / "raw"
+    synth = ["synth", "--config", str(cfg), "--set", "synth.classes=2", "--set", "synth.samples_per_class=2"]
+    assert main(synth + ["--out", str(raw)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "aug"
+    code = main(["augment", str(raw / "manifest.csv"), "--stage", "pre", "--config", str(cfg), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: need >= 2 other recordings with label 0")
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
+def test_failed_preprocess_writes_no_output_directory(workspace, tmp_path, capsys):
+    root, cfg = workspace
+    out = tmp_path / "prep1500"
+    code = main(
+        ["preprocess", str(root / "raw" / "manifest.csv"), "--config", str(cfg), "--set", "pipeline.target_np=1500", "--out", str(out)]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: no recording reached the 1500-packet threshold")
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
 def test_unverifiable_blas_pin_fails_cleanly(workspace, tmp_path, monkeypatch, capsys):
     root, cfg = workspace
     monkeypatch.setattr(train_mod, "threadpoolctl", None)
