@@ -213,8 +213,9 @@ def attention_forward(
     h: (..., T, F). Queries, keys and values are linear maps of h; the fused
     `tensor.causal_attention` primitive scales the scores by 1/sqrt(d_k),
     suppresses future positions with the lower-triangular mask, and returns
-    the softmax-weighted value rows while holding a single T x T buffer. The
-    attended rows then gate h entrywise, so the output keeps shape (..., T, F).
+    the softmax-weighted value rows, building the T x T weights a chunk of
+    samples at a time and keeping none of them for backward. The attended
+    rows then gate h entrywise, so the output keeps shape (..., T, F).
     """
     q = T.linear(h, params.w_q)
     k = T.linear(h, params.w_k)

@@ -13,17 +13,22 @@ and broadcasts leading batch axes.
 Threading: `causal_conv1d` and `causal_attention` run their forward and
 backward passes over contiguous slices of the leading batch axis on a
 private pool with one worker per usable core, created on first use; with one
-core or one sample the same code runs inline. The calling thread allocates
-every output and scratch buffer and each worker writes only into its own
-slice, so workers allocate nothing large. Reductions across samples (the
-conv weight and bias gradients) run in the calling thread after the join.
-Every sample's float operations keep their order, so results are bitwise
-independent of the worker count. BLAS calls inside the workers are expected
-to be single-threaded; `train` pins them.
+core or one sample the same code runs inline. Each worker walks its slice in
+chunks of samples whose scratch fits `_CHUNK_BYTES`, reusing one set of
+chunk buffers per slice. The calling thread allocates every output and
+scratch buffer and each worker writes only into its own slice, so workers
+allocate nothing large. Scratch lives only for one forward or backward call:
+the convolution keeps no padded copy of its input, and attention keeps no
+weights, recomputing them per chunk in backward. Reductions across samples
+(the conv weight and bias gradients) run in the calling thread after the
+join. Every sample's float operations keep their order, so results are
+bitwise independent of the worker count and the chunk size. BLAS calls
+inside the workers are expected to be single-threaded; `train` pins them.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
 from typing import Callable, Iterable, Optional, Sequence
@@ -169,6 +174,18 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 _pool: Optional[ThreadPoolExecutor] = None
 
+# Scratch budget of one chunk of samples inside a kernel slice. A chunk's
+# scratch is reused by every step of the chunk, so it should stay in a core's
+# cache; a sample whose scratch alone exceeds the budget is its own chunk.
+_CHUNK_BYTES = 512 * 1024
+
+
+def _slices(n: int) -> list[tuple[int, int]]:
+    """The contiguous slices `(b0, b1)` that `_fan_out` splits `range(n)` into."""
+    parts = max(1, min(_WORKERS, n))
+    bounds = [n * i // parts for i in range(parts + 1)]
+    return list(zip(bounds, bounds[1:]))
+
 
 def _fan_out(fn: Callable[[int, int], None], n: int) -> None:
     """Run `fn(b0, b1)` over contiguous slices that cover `range(n)`.
@@ -179,18 +196,40 @@ def _fan_out(fn: Callable[[int, int], None], n: int) -> None:
     write only into its own slice of arrays the caller allocated, and must not
     fan out again.
     """
-    parts = min(_WORKERS, n)
-    if parts <= 1:
+    slices = _slices(n)
+    if len(slices) == 1:
         fn(0, n)
         return
     global _pool
     if _pool is None:
         _pool = ThreadPoolExecutor(max_workers=_WORKERS, thread_name_prefix="csi-tcn-kernel")
-    bounds = [n * i // parts for i in range(parts + 1)]
-    futures = [_pool.submit(fn, b0, b1) for b0, b1 in zip(bounds, bounds[1:])]
+    futures = [_pool.submit(fn, b0, b1) for b0, b1 in slices]
     wait(futures)
     for future in futures:
         future.result()
+
+
+def _scratch(n: int, *sample_shapes: tuple[int, ...]) -> dict[int, list[np.ndarray]]:
+    """Zeroed chunk buffers for each `_fan_out` slice of `range(n)`, keyed by
+    the slice's first sample.
+
+    A slice gets one buffer per entry of `sample_shapes`, each with a leading
+    chunk axis of as many samples as fit `_CHUNK_BYTES` of all the buffers
+    together: at least one, and at most the slice's length. The caller
+    allocates them before fanning out, so workers allocate nothing large.
+    """
+    sample_bytes = 8 * sum(math.prod(shape) for shape in sample_shapes)
+    chunk = max(1, _CHUNK_BYTES // max(sample_bytes, 1))
+    return {
+        b0: [np.zeros((min(chunk, b1 - b0),) + shape) for shape in sample_shapes]
+        for b0, b1 in _slices(n)
+    }
+
+
+def _chunks(b0: int, b1: int, size: int) -> Iterable[tuple[int, int]]:
+    """Consecutive `(c0, c1)` of at most `size` samples that cover `range(b0, b1)`."""
+    for c0 in range(b0, b1, size):
+        yield c0, min(c0 + size, b1)
 
 
 def _batched(a: np.ndarray, lead: tuple[int, ...]) -> np.ndarray:
@@ -371,44 +410,53 @@ def causal_conv1d(
         raise ValueError(f"bias shape {bias.shape} != ({c_out},)")
 
     pad = (k - 1) * dilation
-    xp = np.pad(xd, ((0, 0), (0, 0), (pad, 0)))
+    windows = [slice(kk * dilation, kk * dilation + t_len) for kk in range(k)]
     data = np.zeros((n, c_out, t_len))
-    tap_out = np.empty_like(data)
+    # Per slice: a chunk of the left-padded input (the pad stays zero) and
+    # one tap's product.
+    scratch = _scratch(n, (c_in, t_len + pad), (c_out, t_len))
 
     def forward_slice(b0: int, b1: int) -> None:
-        out, tap = data[b0:b1], tap_out[b0:b1]
-        for kk in range(k):
-            np.matmul(w.data[:, :, kk], xp[b0:b1, :, kk * dilation : kk * dilation + t_len], out=tap)
-            out += tap
-        if bias is not None:
-            out += bias.data[:, None]
+        xp, tap = scratch[b0]
+        for c0, c1 in _chunks(b0, b1, len(xp)):
+            m, out = c1 - c0, data[c0:c1]
+            xp[:m, :, pad:] = xd[c0:c1]
+            for kk in range(k):
+                np.matmul(w.data[:, :, kk], xp[:m, :, windows[kk]], out=tap[:m])
+                out += tap[:m]
+            if bias is not None:
+                out += bias.data[:, None]
 
     _fan_out(forward_slice, n)
 
     def backward_fn(g):
         g3 = g[None] if squeeze else g
         need_x, need_w = x.requires_grad, w.requires_grad
-        if need_x:
-            gxp = np.zeros_like(xp)
-            gx_tap = np.empty((n, c_in, t_len))
-        if need_w:
+        if need_x or need_w:
+            gx = np.zeros((n, c_in, t_len)) if need_x else None
             # Per-sample products of every tap; the sum over samples runs
             # after the join so its order never depends on the worker count.
-            gw_taps = np.empty((k, n, c_out, c_in))
+            gw_taps = np.empty((k, n, c_out, c_in)) if need_w else None
+            scratch = _scratch(n, (c_in, t_len + pad), (c_in, t_len))
 
-        def backward_slice(b0: int, b1: int) -> None:
-            for kk in range(k):
-                window = slice(kk * dilation, kk * dilation + t_len)
-                if need_x:
-                    np.matmul(w.data[:, :, kk].T, g3[b0:b1], out=gx_tap[b0:b1])
-                    gxp[b0:b1, :, window] += gx_tap[b0:b1]
-                if need_w:
-                    np.matmul(g3[b0:b1], xp[b0:b1, :, window].swapaxes(1, 2), out=gw_taps[kk, b0:b1])
+            def backward_slice(b0: int, b1: int) -> None:
+                xp, tap = scratch[b0]
+                for c0, c1 in _chunks(b0, b1, len(xp)):
+                    m, gc = c1 - c0, g3[c0:c1]
+                    if need_w:
+                        xp[:m, :, pad:] = xd[c0:c1]
+                    for kk in range(k):
+                        # Column j of tap kk's input gradient belongs to padded
+                        # time kk*d + j; the first `lag` columns fall in the pad.
+                        lag = pad - kk * dilation
+                        if need_x and lag < t_len:
+                            np.matmul(w.data[:, :, kk].T, gc, out=tap[:m])
+                            gx[c0:c1, :, : t_len - lag] += tap[:m, :, lag:]
+                        if need_w:
+                            np.matmul(gc, xp[:m, :, windows[kk]].swapaxes(1, 2), out=gw_taps[kk, c0:c1])
 
-        if need_x or need_w:
             _fan_out(backward_slice, n)
         if need_x:
-            gx = gxp[:, :, pad:]
             _accumulate(x, gx[0] if squeeze else gx)
         if need_w:
             gw = np.empty_like(w.data)
@@ -442,19 +490,20 @@ def softmax_rows(a: Tensor) -> Tensor:
 
 
 def causal_attention(q: Tensor, k: Tensor, v: Tensor, scale: float, mode: str = "neg_inf") -> Tensor:
-    """softmax(mask(q k^T * scale)) v with the T x T weights built in one buffer.
+    """softmax(mask(q k^T * scale)) v, with the T x T weights built per chunk.
 
     q, k: (..., T, d_k); v: (..., T, F). Entries above the main diagonal of
     the scores are suppressed before the row softmax: "neg_inf" (default)
     gives them zero weight; "zero_literal" writes 0.0 instead, reproducing
     the figure-literal variant (which still leaks weight e^0 to the future).
 
-    Only the weights P are kept for the backward pass, which is analytic:
-    gP = g v^T, gv = P^T g, gS = P (gP - rowsum(gP P)), masked entries of gS
-    zeroed, times scale, then gq = gS k and gk = (q^T gS)^T. The float
-    operations and their order match the composed chain
-    matmul -> scale -> mask -> softmax_rows -> matmul, so results are
-    bit-identical to it.
+    Nothing but the operands is kept for the backward pass. It recomputes
+    each chunk's weights P with the same operations as the forward pass, then
+    applies the analytic gradient: gP = g v^T, gv = P^T g,
+    gS = P (gP - rowsum(gP P)), masked entries of gS zeroed, times scale,
+    then gq = gS k and gk = (q^T gS)^T. The float operations and their order
+    match the composed chain matmul -> scale -> mask -> softmax_rows ->
+    matmul, so results are bit-identical to it.
     """
     if mode not in ("neg_inf", "zero_literal"):
         raise ValueError(f"unknown mask mode {mode!r}")
@@ -470,12 +519,12 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, scale: float, mode: str = 
     lead = np.broadcast_shapes(q.shape[:-2], k.shape[:-2], v.shape[:-2])
     qd, kd, vd = (_batched(a.data, lead) for a in (q, k, v))
     n = qd.shape[0]
-    weights = np.empty(qd.shape[:-1] + (t_len,))
+    block = qd.shape[1:-1] + (t_len,)  # one sample's T x T weights
     data = np.empty(vd.shape)
 
-    def forward_slice(b0: int, b1: int) -> None:
-        p = weights[b0:b1]
-        np.matmul(qd[b0:b1], np.swapaxes(kd[b0:b1], -1, -2), out=p)
+    def weights(c0: int, c1: int, p: np.ndarray) -> None:
+        """Write the weights of samples c0:c1 into `p`."""
+        np.matmul(qd[c0:c1], np.swapaxes(kd[c0:c1], -1, -2), out=p)
         p *= scale
         np.copyto(p, -np.inf if mode == "neg_inf" else 0.0, where=above)
         row_max = np.max(p, axis=-1, keepdims=True)
@@ -484,7 +533,15 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, scale: float, mode: str = 
         p -= row_max
         np.exp(p, out=p)
         p /= p.sum(axis=-1, keepdims=True)
-        np.matmul(p, vd[b0:b1], out=data[b0:b1])
+
+    scratch = _scratch(n, block)
+
+    def forward_slice(b0: int, b1: int) -> None:
+        (p_chunk,) = scratch[b0]
+        for c0, c1 in _chunks(b0, b1, len(p_chunk)):
+            p = p_chunk[: c1 - c0]
+            weights(c0, c1, p)
+            np.matmul(p, vd[c0:c1], out=data[c0:c1])
 
     _fan_out(forward_slice, n)
 
@@ -493,29 +550,31 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, scale: float, mode: str = 
         need_v, need_q, need_k = v.requires_grad, q.requires_grad, k.requires_grad
         need_s = need_q or need_k
         gv = np.empty(vd.shape) if need_v else None
-        if need_s:
-            gs = np.empty(weights.shape)
-            gs_p = np.empty(weights.shape)
-            gq = np.empty(qd.shape) if need_q else None
-            gk = np.empty(kd.shape[:-2] + (kd.shape[-1], t_len)) if need_k else None
+        gq = np.empty(qd.shape) if need_q else None
+        gk = np.empty(kd.shape[:-2] + (kd.shape[-1], t_len)) if need_k else None
+        scratch = _scratch(n, block, block, block)
 
         def backward_slice(b0: int, b1: int) -> None:
-            p = weights[b0:b1]
-            if need_v:
-                np.matmul(np.swapaxes(p, -1, -2), g3[b0:b1], out=gv[b0:b1])
-            if not need_s:
-                return
-            s = gs[b0:b1]
-            np.matmul(g3[b0:b1], np.swapaxes(vd[b0:b1], -1, -2), out=s)
-            np.multiply(s, p, out=gs_p[b0:b1])
-            s -= gs_p[b0:b1].sum(axis=-1, keepdims=True)
-            s *= p
-            np.copyto(s, 0.0, where=above)
-            s *= scale
-            if need_q:
-                np.matmul(s, kd[b0:b1], out=gq[b0:b1])
-            if need_k:
-                np.matmul(np.swapaxes(qd[b0:b1], -1, -2), s, out=gk[b0:b1])
+            p_chunk, s_chunk, sp_chunk = scratch[b0]
+            for c0, c1 in _chunks(b0, b1, len(p_chunk)):
+                m = c1 - c0
+                p = p_chunk[:m]
+                weights(c0, c1, p)
+                if need_v:
+                    np.matmul(np.swapaxes(p, -1, -2), g3[c0:c1], out=gv[c0:c1])
+                if not need_s:
+                    continue
+                s, s_p = s_chunk[:m], sp_chunk[:m]
+                np.matmul(g3[c0:c1], np.swapaxes(vd[c0:c1], -1, -2), out=s)
+                np.multiply(s, p, out=s_p)
+                s -= s_p.sum(axis=-1, keepdims=True)
+                s *= p
+                np.copyto(s, 0.0, where=above)
+                s *= scale
+                if need_q:
+                    np.matmul(s, kd[c0:c1], out=gq[c0:c1])
+                if need_k:
+                    np.matmul(np.swapaxes(qd[c0:c1], -1, -2), s, out=gk[c0:c1])
 
         _fan_out(backward_slice, n)
         if need_v:
@@ -542,11 +601,14 @@ def dropout_layer(
         return x
     if rng is None:
         raise ValueError("training-mode dropout needs an rng")
-    scale = (rng.random(x.shape) >= p) / (1.0 - p)
-    data = x.data * scale
+    keep = rng.random(x.shape) >= p
+    survivor = 1.0 / (1.0 - p)
+    # The bool mask is all the backward pass keeps; the float factors are
+    # rebuilt from it, so both passes multiply by exactly 1/(1-p) or 0.0.
+    data = x.data * np.where(keep, survivor, 0.0)
 
     def backward_fn(g):
-        _accumulate(x, g * scale)
+        _accumulate(x, g * np.where(keep, survivor, 0.0))
 
     return _make(data, (x,), backward_fn, "dropout")
 

@@ -274,7 +274,10 @@ def train(
     Per epoch: seeded reshuffle, batches of `batch_size` (last one short),
     batch loss = mean per-sample cross-entropy on the pooled distribution,
     one optimizer step per batch at lr_at_epoch(). Training accuracy is
-    measured on the training-mode forward passes (dropout active).
+    measured on the training-mode forward passes (dropout active). A
+    non-finite model output (hence loss) or parameter gradient raises
+    ValueError naming the epoch and batch, both counted from 0, before the
+    optimizer step.
     """
     data, labels = _stack(dataset)
     if len(np.unique(labels)) < 2:
@@ -296,11 +299,15 @@ def train(
             order = shuffle_rng.permutation(n) if train_cfg.shuffle else np.arange(n)
             loss_sum = 0.0
             correct = 0
-            for start in range(0, n, train_cfg.batch_size):
+            for batch, start in enumerate(range(0, n, train_cfg.batch_size)):
                 idx = order[start : start + train_cfg.batch_size]
                 probs = model_forward(
                     data[idx], params, model_cfg, training=True, rng=dropout_rng
                 )
+                if not np.all(np.isfinite(probs.data)):
+                    raise ValueError(
+                        f"non-finite loss at epoch {epoch}, batch {batch}: the model output is not finite"
+                    )
                 loss = cross_entropy_mean(probs, labels[idx])
                 for p in named.values():
                     p.grad = None
@@ -309,6 +316,9 @@ def train(
                     k: (p.grad if p.grad is not None else np.zeros_like(p.data))
                     for k, p in named.items()
                 }
+                for k, g in grads.items():
+                    if not np.all(np.isfinite(g)):
+                        raise ValueError(f"non-finite gradient of {k} at epoch {epoch}, batch {batch}")
                 adamw_step(named, grads, state, lr, train_cfg.weight_decay)
                 loss_sum += float(loss.data) * len(idx)
                 correct += int((probs.data.argmax(axis=1) == labels[idx]).sum())

@@ -330,6 +330,23 @@ def test_unverifiable_blas_pin_fails_cleanly(workspace, tmp_path, monkeypatch, c
     assert len(err.strip().splitlines()) == 1
 
 
+def test_nan_parameter_fails_cleanly(workspace, tmp_path, monkeypatch, capsys):
+    root, cfg = workspace
+    real_init = train_mod.init_model
+
+    def init_with_nan(model_cfg, rng):
+        params = real_init(model_cfg, rng)
+        params.head_w.data[0, 0] = float("nan")
+        return params
+
+    monkeypatch.setattr(train_mod, "init_model", init_with_nan)
+    code = main(["train", str(root / "prep" / "manifest.csv"), "--config", str(cfg), "--out", str(tmp_path / "run")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: non-finite loss at epoch 0, batch 0")
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_set_overrides_file(workspace, tmp_path):
     root, cfg = workspace
     out = tmp_path / "short"

@@ -172,6 +172,30 @@ class TestFusedAttention:
         assert h.grad is not None
 
 
+class TestAttentionMemory:
+    def test_no_weights_kept_between_forward_and_backward(self, monkeypatch):
+        # One unit is one (N, T, T) float64 tensor. Keeping the weights for
+        # backward, the parent read 1.61 units retained and 4.33 at peak.
+        monkeypatch.setattr(T, "_WORKERS", 2)
+        n, t_len, feats = 8, 256, 30
+        unit = n * t_len * t_len * 8
+        rng = np.random.default_rng(13)
+        p = attention_params(rng, width=feats, d_k=feats)
+        h = Tensor(rng.standard_normal((n, t_len, feats)), requires_grad=True)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = attention_forward(h, p, MaskMode.NEG_INF)
+            retained = tracemalloc.get_traced_memory()[0] - before
+            T.sum_over(out).backward()
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert retained < unit, f"forward retains {retained / unit:.2f} units"
+        assert peak < 3 * unit, f"forward + backward peaks at {peak / unit:.2f} units"
+        assert h.grad is not None
+
+
 class TestTcnBlock:
     def _block(self, c_out, c_in, k, zero=False, proj=False, rng=None):
         rng = rng or np.random.default_rng(0)

@@ -2,12 +2,14 @@ import math
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kernel_reference
 from attention_reference import lower_triangular_mask, reference_attention
 from csi_tcn import tensor as T
 from csi_tcn.tensor import Tensor, grad_check
@@ -334,6 +336,104 @@ class TestFanOut:
             sys.setswitchinterval(interval)
 
 
+def _assert_same_bits(ours, theirs):
+    for i, (a, b) in enumerate(zip(ours, theirs)):
+        assert (a is None) == (b is None), i
+        if a is not None:
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), f"result {i} differs from the parent kernel"
+
+
+# One sample per chunk, the default budget, one chunk per slice.
+CHUNK_BUDGETS = [1, T._CHUNK_BYTES, 1 << 30]
+
+
+class TestChunkedKernels:
+    """The chunked kernels against the parent whole-slice kernels, bit for bit."""
+
+    @pytest.mark.parametrize("budget", CHUNK_BUDGETS)
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "x_shape, w_shape, dilation, with_bias, x_grad",
+        [
+            ((2, 9), (3, 2, 3), 1, True, True),  # squeezed (C_in, T)
+            ((1, 2, 9), (3, 2, 3), 2, True, True),  # N = 1
+            ((3, 2, 9), (3, 2, 3), 1, True, True),
+            ((5, 3, 11), (4, 3, 3), 2, True, True),
+            ((5, 2, 13), (3, 2, 3), 4, True, True),
+            ((3, 2, 5), (2, 2, 3), 4, True, True),  # the pad (8) is longer than T
+            ((4, 3, 7), (3, 3, 1), 1, True, True),  # k = 1, no pad
+            ((3, 4, 1), (5, 4, 3), 2, True, True),  # T = 1
+            ((3, 1, 9), (1, 1, 4), 1, True, True),  # one channel in and out
+            ((5, 2, 9), (3, 2, 3), 2, False, True),  # no bias
+            ((5, 2, 9), (3, 2, 3), 1, True, False),  # x without grad
+            ((5, 50, 250), (50, 50, 3), 2, True, True),  # default budget: chunks of 2
+        ],
+    )
+    def test_conv_bitwise_equal_to_parent(self, monkeypatch, budget, workers, x_shape, w_shape, dilation, with_bias, x_grad):
+        monkeypatch.setattr(T, "_CHUNK_BYTES", budget)
+        monkeypatch.setattr(T, "_WORKERS", workers)
+        rng = np.random.default_rng(x_shape[0] * 10 + dilation)
+        arrays = [rng.standard_normal(x_shape), rng.standard_normal(w_shape)]
+        arrays.append(rng.standard_normal(w_shape[0]) if with_bias else None)
+        needs = [x_grad, True, True]
+        ours = _forward_backward(lambda x, w, b: T.causal_conv1d(x, w, b, dilation), arrays, needs, seed=1)
+        theirs = _forward_backward(
+            lambda x, w, b: kernel_reference.causal_conv1d(x, w, b, dilation), arrays, needs, seed=1
+        )
+        _assert_same_bits(ours, theirs)
+
+    @pytest.mark.parametrize("budget", CHUNK_BUDGETS)
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("mode", ["neg_inf", "zero_literal"])
+    @pytest.mark.parametrize(
+        "q_shape, k_shape, v_shape",
+        [
+            ((5, 7, 4), (5, 7, 4), (5, 7, 5)),
+            ((3, 1, 4), (3, 1, 4), (3, 1, 2)),  # T = 1
+            ((6, 2), (6, 2), (6, 3)),  # unbatched
+            ((1, 5, 3), (4, 5, 3), (4, 5, 2)),  # broadcast batch axis
+            ((5, 100, 4), (5, 100, 4), (5, 100, 3)),  # default budget: backward chunks of 2
+        ],
+    )
+    def test_attention_bitwise_equal_to_parent(self, monkeypatch, budget, workers, mode, q_shape, k_shape, v_shape):
+        monkeypatch.setattr(T, "_CHUNK_BYTES", budget)
+        monkeypatch.setattr(T, "_WORKERS", workers)
+        rng = np.random.default_rng(q_shape[-2] * 7 + len(q_shape))
+        arrays = [rng.standard_normal(q_shape), rng.standard_normal(k_shape), rng.standard_normal(v_shape)]
+        for needs in ([True, True, True], [False, True, False], [True, False, False]):
+            ours = _forward_backward(lambda q, k, v: T.causal_attention(q, k, v, 0.6, mode), arrays, needs, seed=2)
+            theirs = _forward_backward(
+                lambda q, k, v: kernel_reference.causal_attention(q, k, v, 0.6, mode), arrays, needs, seed=2
+            )
+            _assert_same_bits(ours, theirs)
+
+    def test_all_neg_inf_row_in_a_later_chunk_of_the_second_slice(self, monkeypatch):
+        monkeypatch.setattr(T, "_CHUNK_BYTES", 1)
+        monkeypatch.setattr(T, "_WORKERS", 2)
+        q = np.ones((6, 4, 2))
+        q[5, 1, :] = -np.inf  # slices are 0:3 and 3:6; sample 5 is the third chunk of the second
+        with pytest.raises(ValueError, match="entirely -inf"):
+            T.causal_attention(Tensor(q), Tensor(np.ones((6, 4, 2))), Tensor(np.ones((6, 4, 2))), 1.0)
+
+    def test_conv_forward_retains_only_its_output(self):
+        # The parent kept a padded copy of the input for backward: 2.15 units.
+        rng = np.random.default_rng(14)
+        x = Tensor(rng.standard_normal((8, 50, 375)), requires_grad=True)
+        w = Tensor(rng.standard_normal((50, 50, 15)), requires_grad=True)
+        b = Tensor(rng.standard_normal(50), requires_grad=True)
+        unit = 8 * 50 * 375 * 8
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = T.causal_conv1d(x, w, b, 4)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained <= 1.1 * unit, f"forward retains {retained / unit:.2f} output-sized units"
+        T.sum_over(out).backward()
+        assert x.grad.shape == x.shape
+
+
 class TestElementwiseAndDropout:
     def test_relu(self):
         assert T.relu(Tensor([-1.0])).data[0] == 0.0
@@ -353,6 +453,21 @@ class TestElementwiseAndDropout:
         zero_frac = np.mean(y.data == 0.0)
         assert abs(zero_frac - 0.5) <= 0.002
         assert np.all((y.data == 0.0) | (y.data == 2.0))  # inverted scaling 1/(1-p)
+
+    @pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
+    def test_dropout_bitwise_equal_to_parent_formula(self, p):
+        # negative inputs and gradients make -0.0 where a sample is dropped
+        rng = np.random.default_rng(9)
+        x_data = rng.standard_normal((4, 6, 5))
+        coeffs = Tensor(rng.standard_normal((4, 6, 5)))
+        results = []
+        for dropout in (T.dropout_layer, kernel_reference.dropout_layer):
+            x = Tensor(x_data.copy(), requires_grad=True)
+            y = dropout(x, p, training=True, rng=np.random.default_rng(3))
+            T.sum_over(T.mul(y, coeffs)).backward()
+            results.append((y.data, x.grad))
+        assert np.any(np.signbit(results[0][0]) & (results[0][0] == 0.0))
+        _assert_same_bits(*results)
 
     def test_dropout_rate_validation(self):
         with pytest.raises(ValueError):

@@ -206,6 +206,48 @@ class TestTraining:
         reached = next(i for i, a in enumerate(metrics.train_accuracy) if a == 1.0)
         assert reached < 50
 
+    def test_nan_parameter_raises_with_epoch_and_batch_before_the_step(self, small_dataset, monkeypatch):
+        steps = []
+        real_step = train_mod.adamw_step
+
+        def step_then_poison(params, grads, state, lr, weight_decay):
+            real_step(params, grads, state, lr, weight_decay)
+            steps.append(state.step)
+            if state.step == 4:
+                params["head.b"].data[0] = np.nan
+
+        monkeypatch.setattr(train_mod, "adamw_step", step_then_poison)
+        # 18 samples in batches of 4 make 5 batches an epoch; the NaN set
+        # after step 4 (batch 3) reaches the output of batch 4
+        with pytest.raises(ValueError, match=r"non-finite loss at epoch 0, batch 4"):
+            train(small_dataset, tiny_model(), TrainConfig(batch_size=4, epochs=2, seed=0))
+        assert steps == [1, 2, 3, 4]
+
+    def test_nan_gradient_raises_with_epoch_and_batch_before_the_step(self, small_dataset, monkeypatch):
+        real_loss = train_mod.cross_entropy_mean
+        calls = []
+
+        def loss_with_nan_gradient(probs, labels):
+            loss = real_loss(probs, labels)
+            calls.append(None)
+            if len(calls) == 7:  # epoch 1, batch 1
+                inner = loss._backward
+
+                def backward_fn(g):
+                    inner(g)
+                    probs.grad = np.full_like(probs.grad, np.nan)
+
+                loss._backward = backward_fn
+            return loss
+
+        monkeypatch.setattr(train_mod, "cross_entropy_mean", loss_with_nan_gradient)
+        steps = []
+        real_step = train_mod.adamw_step
+        monkeypatch.setattr(train_mod, "adamw_step", lambda *a: (steps.append(None), real_step(*a)))
+        with pytest.raises(ValueError, match=r"non-finite gradient of \S+ at epoch 1, batch 1"):
+            train(small_dataset, tiny_model(), TrainConfig(batch_size=4, epochs=2, seed=0))
+        assert len(steps) == 6
+
     def test_single_class_rejected(self):
         dataset = build_dataset(classes=2, samples_per_class=3, n_p=64, seed=0)
         only_zero = [s for s in dataset if s.label == 0]
