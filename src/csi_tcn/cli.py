@@ -37,8 +37,8 @@ from .train import (
     BlasPinError,
     ablate,
     evaluate,
+    holdout_split,
     kfold_evaluate,
-    kfold_plan,
     train,
     write_ablation_table,
     write_confusion_csv,
@@ -268,10 +268,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         print(f"k-fold mean validation accuracy: {mean_accuracy:.4f}")
         return 0
 
-    labels = [s.label for s in samples]
-    plan = kfold_plan(labels, k=cfg.train.k_folds, seed=cfg.train.seed)
-    val_set = [samples[i] for i in plan.folds[0]]
-    train_set = [samples[i] for i in plan.train_indices(0)]
+    train_set, val_set = holdout_split(samples, cfg.train)
     params, metrics = train(train_set, cfg.model, cfg.train, val_set)
 
     save_checkpoint(os.path.join(args.out, "checkpoint.ckpt"), params, cfg.model)

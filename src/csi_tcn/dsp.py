@@ -79,14 +79,11 @@ class IirCoefficients:
 
 @dataclass
 class WaveletSpec:
-    """Cascaded single-level DWTs; only the Haar family is implemented."""
+    """Cascaded single-level Haar DWTs."""
 
-    family: str = "haar"
     levels: int = 2
 
     def __post_init__(self) -> None:
-        if self.family != "haar":
-            raise ValueError(f"unsupported wavelet family {self.family!r}")
         if self.levels < 1:
             raise ValueError(f"levels must be >= 1, got {self.levels}")
 

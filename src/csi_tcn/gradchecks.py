@@ -48,10 +48,8 @@ def _away_from_zero(rng: np.random.Generator, shape) -> np.ndarray:
 def tiny_model_config() -> ModelConfig:
     """Desk-size config for the full-model gradient check (T=16, F=4)."""
     return ModelConfig(
-        layers=3,
         filters=(8, 8, 8),
         kernel=3,
-        dilations=(1, 2, 4),
         dropout=0.0,
         d_k=4,
         n_classes=12,
@@ -156,12 +154,6 @@ def run_battery(include_model: bool = True) -> list[BatteryRow]:
     )
 
     # losses (through softmax so perturbed inputs stay distributions)
-    logits = Tensor(rng.standard_normal(6), requires_grad=True)
-    check(
-        "softmax_cross_entropy",
-        lambda z: T.cross_entropy(T.softmax_rows(z), 2),
-        [logits],
-    )
     logits_b = Tensor(rng.standard_normal((3, 6)), requires_grad=True)
     labels_b = np.array([1, 0, 5])
     check(
@@ -173,11 +165,11 @@ def run_battery(include_model: bool = True) -> list[BatteryRow]:
     if include_model:
         cfg = tiny_model_config()
         params = init_model(cfg, np.random.default_rng(7))
-        x = np.random.default_rng(8).standard_normal((2, 16, cfg.in_features))
+        x = np.random.default_rng(8).standard_normal((1, 2, 16, cfg.in_features))
 
         def model_loss(*_):
             probs = model_forward(x, params, cfg, training=False)
-            return T.cross_entropy(probs, 3)
+            return T.cross_entropy_mean(probs, np.array([3]))
 
         check("full_model_loss", model_loss, list(params.named().values()), MODEL_TOLERANCE)
     return rows

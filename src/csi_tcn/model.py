@@ -1,6 +1,10 @@
 """Classifier: temporal attention, stacked dilated causal conv blocks, shared
 per-pair head, and average pooling over antenna pairs.
 
+`ModelConfig.filters` fixes the conv stack: one block per listed width, and
+block m dilates by 2^m, so the depth and the dilation schedule are not
+separate settings.
+
 Input is one preprocessed sample (pairs, T, features) or a batch of them;
 output is a class distribution. All pairs share the same weights; the final
 distribution is the mean of the per-pair softmax outputs.
@@ -57,10 +61,8 @@ class MaskMode(enum.Enum):
 
 @dataclass
 class ModelConfig:
-    layers: int = 3
-    filters: tuple[int, ...] = (50, 50, 50)
+    filters: tuple[int, ...] = (50, 50, 50)  # one conv block per width
     kernel: int = 15
-    dilations: tuple[int, ...] = (1, 2, 4)
     dropout: float = 0.5
     attention_placement: AttentionPlacement = AttentionPlacement.PRE_TCN_ONLY
     mask_mode: MaskMode = MaskMode.NEG_INF
@@ -71,18 +73,10 @@ class ModelConfig:
 
     def __post_init__(self) -> None:
         self.filters = tuple(int(f) for f in self.filters)
-        self.dilations = tuple(int(d) for d in self.dilations)
         self.attention_placement = AttentionPlacement(self.attention_placement)
         self.mask_mode = MaskMode(self.mask_mode)
-        if self.layers < 0:
-            raise ValueError("layers must be >= 0")
-        if len(self.filters) != self.layers:
-            raise ValueError(f"filters {self.filters} must list one width per layer")
-        if len(self.dilations) != self.layers:
-            raise ValueError(f"dilations {self.dilations} must list one factor per layer")
-        for m, d in enumerate(self.dilations):
-            if d != 2**m:
-                raise ValueError(f"dilations must double per layer (2^m); got {self.dilations}")
+        if any(f < 1 for f in self.filters):
+            raise ValueError(f"filters {self.filters} must all be >= 1")
         if self.kernel < 1:
             raise ValueError("kernel must be >= 1")
         if not 0.0 <= self.dropout < 1.0:
@@ -92,21 +86,37 @@ class ModelConfig:
                 raise ValueError(f"{name} must be >= 1")
 
 
+def _dilations(cfg: ModelConfig) -> list[int]:
+    """Per-block dilation: block m of the stack dilates by 2^m."""
+    return [2**m for m in range(len(cfg.filters))]
+
+
 def model_config_to_dict(cfg: ModelConfig) -> dict:
     d = dataclasses.asdict(cfg)
     d["filters"] = list(cfg.filters)
-    d["dilations"] = list(cfg.dilations)
     d["attention_placement"] = cfg.attention_placement.value
     d["mask_mode"] = cfg.mask_mode.value
     return d
 
 
 def model_config_from_dict(d: dict) -> ModelConfig:
+    """Inverse of `model_config_to_dict`. Older checkpoint headers also carry
+    `layers` and `dilations`; each is accepted only when it equals the value
+    derived from `filters`, then dropped."""
+    d = dict(d)
+    legacy = {key: d.pop(key) for key in ("layers", "dilations") if key in d}
     known = {f.name for f in dataclasses.fields(ModelConfig)}
     unknown = set(d) - known
     if unknown:
         raise ValueError(f"unknown model config key: {sorted(unknown)[0]}")
-    return ModelConfig(**d)
+    cfg = ModelConfig(**d)
+    derived = {"layers": len(cfg.filters), "dilations": _dilations(cfg)}
+    for key, value in legacy.items():
+        if value != derived[key]:
+            raise ValueError(
+                f"model config key {key} is {value!r}, but filters {list(cfg.filters)} imply {derived[key]!r}"
+            )
+    return cfg
 
 
 @dataclass
@@ -284,7 +294,7 @@ def model_forward(
         h = attention_forward(h, params.attention["pre"], cfg.mask_mode)
         acts["attention_pre"] = h
     z = T.transpose(h, (0, 2, 1))  # (N, C, T)
-    for m, (block, dilation) in enumerate(zip(params.blocks, cfg.dilations)):
+    for m, (block, dilation) in enumerate(zip(params.blocks, _dilations(cfg))):
         if cfg.attention_placement is AttentionPlacement.EVERY_LAYER:
             ht = attention_forward(
                 T.transpose(z, (0, 2, 1)), params.attention[f"layer{m}"], cfg.mask_mode
@@ -312,8 +322,9 @@ def model_forward(
 
 
 def receptive_field(cfg: ModelConfig) -> int:
-    """Trailing input steps that can reach the final conv-stack output step."""
-    return 1 + (cfg.kernel - 1) * sum(cfg.dilations)
+    """Trailing input steps that can reach the final conv-stack output step:
+    1 + (k-1)(2^L - 1) for L blocks dilated 1, 2, ..., 2^(L-1)."""
+    return 1 + (cfg.kernel - 1) * sum(_dilations(cfg))
 
 
 def probe_receptive_field(cfg: ModelConfig, t_len: Optional[int] = None, seed: int = 0) -> int:
@@ -335,7 +346,7 @@ def probe_receptive_field(cfg: ModelConfig, t_len: Optional[int] = None, seed: i
 
     def stack_last_column(arr: np.ndarray) -> np.ndarray:
         z = Tensor(arr)
-        for block, dilation in zip(params.blocks, stack_cfg.dilations):
+        for block, dilation in zip(params.blocks, _dilations(stack_cfg)):
             z = tcn_block_forward(z, block, dilation, residual=stack_cfg.residual)
         return z.data[:, -1].copy()
 

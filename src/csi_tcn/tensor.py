@@ -51,7 +51,6 @@ __all__ = [
     "mean_over_axis",
     "sum_over",
     "dropout_layer",
-    "cross_entropy",
     "cross_entropy_mean",
     "backward",
     "grad_check",
@@ -86,9 +85,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def backward(self) -> None:
         backward(self)
@@ -628,25 +624,6 @@ def _check_labels(labels: np.ndarray, classes: int) -> None:
     bad = labels[(labels < 0) | (labels >= classes)]
     if bad.size:
         raise ValueError(f"label {bad.flat[0]} outside the model's classes [0, {classes})")
-
-
-def cross_entropy(probabilities: Tensor, label: int) -> Tensor:
-    """-log p[label] with p clamped to >= 1e-12. Expects a distribution."""
-    if probabilities.ndim != 1:
-        raise ValueError(f"expected a probability vector, got shape {probabilities.shape}")
-    _check_distribution(probabilities.data)
-    _check_labels(np.asarray(label), probabilities.shape[0])
-    p = probabilities.data[label]
-    clamped = max(p, _PROB_CLAMP)
-    data = -np.log(clamped)
-
-    def backward_fn(g):
-        gp = np.zeros_like(probabilities.data)
-        if p > _PROB_CLAMP:
-            gp[label] = -float(g) / p
-        _accumulate(probabilities, gp)
-
-    return _make(np.asarray(data), (probabilities,), backward_fn, "cross_entropy")
 
 
 def cross_entropy_mean(probabilities: Tensor, labels: np.ndarray) -> Tensor:

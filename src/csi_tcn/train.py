@@ -1,5 +1,6 @@
 """Training and evaluation: AdamW with decoupled decay, exponential LR decay,
-mini-batch loop, stratified k-fold plans, metrics, and ablation sweeps.
+mini-batch loop, stratified k-fold plans (fold 0 is the holdout split of
+single runs and ablations), metrics, and ablation sweeps.
 
 Training is bitwise deterministic for fixed (dataset, configs, seed): all
 randomness comes from named sub-streams of the seed and batches reduce in a
@@ -114,6 +115,7 @@ __all__ = [
     "evaluate",
     "train",
     "kfold_plan",
+    "holdout_split",
     "kfold_evaluate",
     "ablate",
     "write_metrics_csv",
@@ -131,7 +133,6 @@ class TrainConfig:
     lr_decay: float = 0.988  # multiplicative, per epoch
     weight_decay: float = 1e-4
     seed: int = 0
-    shuffle: bool = True
     k_folds: int = 10
 
     def __post_init__(self) -> None:
@@ -296,7 +297,7 @@ def train(
         for epoch in range(train_cfg.epochs):
             started = time.perf_counter()
             lr = lr_at_epoch(train_cfg, epoch)
-            order = shuffle_rng.permutation(n) if train_cfg.shuffle else np.arange(n)
+            order = shuffle_rng.permutation(n)
             loss_sum = 0.0
             correct = 0
             for batch, start in enumerate(range(0, n, train_cfg.batch_size)):
@@ -373,6 +374,18 @@ def kfold_plan(labels: Sequence[int], k: int = 10, seed: int = 0) -> KFoldPlan:
     return KFoldPlan(k=k, folds=[np.array(sorted(b), dtype=np.int64) for b in buckets], seed=seed)
 
 
+def holdout_split(
+    dataset: Sequence[PreprocessedSample], train_cfg: TrainConfig
+) -> tuple[list[PreprocessedSample], list[PreprocessedSample]]:
+    """(training split, validation split): fold 0 of the stratified
+    `train_cfg.k_folds` plan is held out."""
+    labels = [s.label for s in dataset]
+    if None in labels:
+        raise ValueError("all samples must be labelled")
+    plan = kfold_plan(labels, k=train_cfg.k_folds, seed=train_cfg.seed)
+    return [dataset[i] for i in plan.train_indices(0)], [dataset[i] for i in plan.folds[0]]
+
+
 def kfold_evaluate(
     dataset: Sequence[PreprocessedSample],
     model_cfg: ModelConfig,
@@ -432,10 +445,7 @@ def ablate(
     """
     if sweep not in _SWEEP_KINDS:
         raise ValueError(f"unknown sweep {sweep!r}, expected one of {_SWEEP_KINDS}")
-    _, labels = _stack(dataset)
-    plan = kfold_plan(labels, k=train_cfg.k_folds, seed=train_cfg.seed)
-    val_set = [dataset[i] for i in plan.folds[0]]
-    base_train = [dataset[i] for i in plan.train_indices(0)]
+    base_train, val_set = holdout_split(dataset, train_cfg)
 
     rows = []
     for value in values:

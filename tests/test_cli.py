@@ -12,9 +12,7 @@ CONFIG = {
     "synth": {"classes": 3, "samples_per_class": 6, "n_p": 128, "n_s": 12},
     "pipeline": {"target_np": 128},
     "model": {
-        "layers": 2,
         "filters": [6, 6],
-        "dilations": [1, 2],
         "kernel": 3,
         "dropout": 0.2,
         "d_k": 12,
@@ -242,6 +240,33 @@ def test_unknown_config_key_names_it(workspace, capsys):
     assert code == 1
     assert "model.kernels" in capsys.readouterr().err
     assert not (root / "never").exists()
+
+
+@pytest.mark.parametrize(
+    "override", ["model.layers=3", "model.dilations=[1,2]", "wavelet.family=haar", "train.shuffle=false"]
+)
+def test_removed_config_keys_are_unknown(workspace, tmp_path, capsys, override):
+    root, cfg = workspace
+    out = tmp_path / "never"
+    code = main(["train", str(root / "prep" / "manifest.csv"), "--config", str(cfg), "--set", override, "--out", str(out)])
+    assert code == 1
+    key = override.split("=", 1)[0]
+    assert capsys.readouterr().err == f"error: unknown config key: {key}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("filters", ["[4,0,0]", "[4,0,4]"])
+def test_zero_width_filters_fail_before_output(workspace, tmp_path, capsys, filters):
+    root, cfg = workspace
+    out = tmp_path / "never"
+    code = main(
+        ["train", str(root / "prep" / "manifest.csv"), "--config", str(cfg), "--set", f"model.filters={filters}", "--out", str(out)]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid config section 'model': filters ") and "must all be >= 1" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
 
 
 def test_too_few_classes_for_labels_fails_cleanly(workspace, tmp_path, capsys):

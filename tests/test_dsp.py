@@ -198,8 +198,6 @@ class TestHaarDwt:
 
     def test_wavelet_spec_validation(self):
         with pytest.raises(ValueError):
-            WaveletSpec(family="db4")
-        with pytest.raises(ValueError):
             WaveletSpec(levels=0)
 
 

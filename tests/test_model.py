@@ -1,4 +1,6 @@
 import dataclasses
+import json
+import struct
 import tracemalloc
 
 import numpy as np
@@ -16,6 +18,8 @@ from csi_tcn.model import (
     attention_forward,
     init_model,
     load_checkpoint,
+    model_config_from_dict,
+    model_config_to_dict,
     model_forward,
     parameter_count,
     probe_receptive_field,
@@ -28,10 +32,8 @@ from csi_tcn.tensor import Tensor
 
 def small_config(**overrides) -> ModelConfig:
     base = dict(
-        layers=3,
         filters=(8, 8, 8),
         kernel=3,
-        dilations=(1, 2, 4),
         dropout=0.0,
         d_k=4,
         n_classes=5,
@@ -290,25 +292,21 @@ class TestReceptiveField:
         assert receptive_field(ModelConfig()) == 99
 
     def test_tiny_formula(self):
-        cfg = ModelConfig(layers=1, filters=(4,), dilations=(1,), kernel=2, in_features=3)
+        cfg = ModelConfig(filters=(4,), kernel=2, in_features=3)
         assert receptive_field(cfg) == 2
 
     def test_probe_matches_formula_small(self):
-        cfg = ModelConfig(layers=1, filters=(4,), dilations=(1,), kernel=2, in_features=3)
+        cfg = ModelConfig(filters=(4,), kernel=2, in_features=3)
         assert probe_receptive_field(cfg, t_len=10) == 2
 
     def test_probe_fig5_cone(self):
         # kernel 2 with dilations 1, 2, 4 reaches exactly 8 trailing steps
-        cfg = ModelConfig(
-            layers=3, filters=(3, 3, 3), dilations=(1, 2, 4), kernel=2, in_features=2
-        )
+        cfg = ModelConfig(filters=(3, 3, 3), kernel=2, in_features=2)
         assert receptive_field(cfg) == 8
         assert probe_receptive_field(cfg, t_len=20) == 8
 
     def test_probe_with_residuals_and_projection(self):
-        cfg = ModelConfig(
-            layers=2, filters=(5, 7), dilations=(1, 2), kernel=3, in_features=3
-        )
+        cfg = ModelConfig(filters=(5, 7), kernel=3, in_features=3)
         assert probe_receptive_field(cfg, t_len=16) == receptive_field(cfg) == 7
 
 
@@ -320,7 +318,7 @@ class TestParameterCount:
 
     def test_head_only_degenerate(self):
         cfg = ModelConfig(
-            layers=0, filters=(), dilations=(), attention_placement="none",
+            filters=(), attention_placement="none",
             n_classes=12, in_features=30,
         )
         assert parameter_count(cfg) == 12 * 30 + 12
@@ -378,13 +376,73 @@ class TestCheckpoint:
         assert np.array_equal(before, after)
 
 
+def _write_legacy_checkpoint(path, params, header: dict) -> None:
+    """TCK1 version 1 byte for byte, with `header` as the config echo."""
+    named = params.named()
+    cfg_blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(b"TCK1" + struct.pack("<H", 1) + struct.pack("<I", len(cfg_blob)) + cfg_blob)
+        fh.write(struct.pack("<I", len(named)))
+        for name, p in named.items():
+            blob = name.encode("utf-8")
+            fh.write(struct.pack("<H", len(blob)) + blob + struct.pack("<B", p.ndim))
+            fh.write(struct.pack(f"<{p.ndim}I", *p.shape))
+            fh.write(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
+
+
+def _legacy_header(cfg: ModelConfig, **changes) -> dict:
+    """The config echo of checkpoints that still carried `layers` and
+    `dilations` next to `filters`."""
+    depth = len(cfg.filters)
+    header = dict(model_config_to_dict(cfg), layers=depth, dilations=[2**m for m in range(depth)])
+    header.update(changes)
+    return header
+
+
+class TestLegacyCheckpointHeader:
+    def test_loads_bitwise_and_evaluates_identically(self, tmp_path):
+        cfg = small_config(attention_placement="every_layer")
+        params = init_model(cfg, np.random.default_rng(5))
+        path = tmp_path / "legacy.ckpt"
+        _write_legacy_checkpoint(path, params, _legacy_header(cfg))
+        loaded, loaded_cfg = load_checkpoint(path, expected=cfg)
+        assert loaded_cfg == cfg
+        for name, p in params.named().items():
+            assert loaded.named()[name].data.tobytes() == p.data.tobytes()
+        x = np.random.default_rng(6).standard_normal((3, 2, 20, 4))
+        assert model_forward(x, loaded, cfg).data.tobytes() == model_forward(x, params, cfg).data.tobytes()
+
+    def test_resaved_without_the_derived_keys(self, tmp_path):
+        cfg = small_config()
+        params = init_model(cfg, np.random.default_rng(5))
+        legacy, resaved, expected = (tmp_path / n for n in ("legacy.ckpt", "resaved.ckpt", "expected.ckpt"))
+        _write_legacy_checkpoint(legacy, params, _legacy_header(cfg))
+        save_checkpoint(resaved, *load_checkpoint(legacy))
+        _write_legacy_checkpoint(expected, params, model_config_to_dict(cfg))
+        assert resaved.read_bytes() == expected.read_bytes()
+
+    @pytest.mark.parametrize(
+        "key, value", [("layers", 2), ("layers", 4), ("dilations", [1, 2, 3]), ("dilations", [1, 2])]
+    )
+    def test_disagreeing_key_rejected_by_name(self, tmp_path, key, value):
+        cfg = small_config()
+        path = tmp_path / "bad.ckpt"
+        _write_legacy_checkpoint(path, init_model(cfg, np.random.default_rng(5)), _legacy_header(cfg, **{key: value}))
+        with pytest.raises(ValueError, match=rf"model config key {key} is"):
+            load_checkpoint(path)
+        with pytest.raises(ValueError, match=rf"model config key {key} is"):
+            model_config_from_dict(_legacy_header(cfg, **{key: value}))
+
+
 def test_config_validation():
-    with pytest.raises(ValueError, match="dilations"):
-        ModelConfig(dilations=(1, 2, 3))
-    with pytest.raises(ValueError, match="filters"):
-        ModelConfig(filters=(50, 50))
     with pytest.raises(ValueError, match="dropout"):
         ModelConfig(dropout=1.0)
     cfg = ModelConfig(attention_placement="post_tcn", mask_mode="zero_literal")
     assert cfg.attention_placement is AttentionPlacement.POST_TCN
     assert cfg.mask_mode is MaskMode.ZERO_LITERAL
+
+
+@pytest.mark.parametrize("filters", [(4, 0, 0), (4, 0, 4), (0,), (-1, 8)])
+def test_config_rejects_widths_below_one(filters):
+    with pytest.raises(ValueError, match=r"filters .* must all be >= 1"):
+        ModelConfig(filters=filters)

@@ -476,27 +476,27 @@ class TestElementwiseAndDropout:
 
 class TestCrossEntropy:
     def test_uniform_twelve(self):
-        probs = Tensor(np.full(12, 1.0 / 12.0))
-        assert T.cross_entropy(probs, 5).item() == pytest.approx(math.log(12.0), abs=1e-12)
+        probs = Tensor(np.full((1, 12), 1.0 / 12.0))
+        assert T.cross_entropy_mean(probs, np.array([5])).item() == pytest.approx(math.log(12.0), abs=1e-12)
 
     def test_certain_prediction(self):
-        probs = np.zeros(12)
-        probs[3] = 1.0
-        assert T.cross_entropy(Tensor(probs), 3).item() == 0.0
+        probs = np.zeros((1, 12))
+        probs[0, 3] = 1.0
+        assert T.cross_entropy_mean(Tensor(probs), np.array([3])).item() == 0.0
 
     def test_half_probability(self):
-        probs = np.full(12, 0.5 / 11.0)
-        probs[0] = 0.5
-        assert T.cross_entropy(Tensor(probs), 0).item() == pytest.approx(math.log(2.0), abs=1e-12)
+        probs = np.full((1, 12), 0.5 / 11.0)
+        probs[0, 0] = 0.5
+        assert T.cross_entropy_mean(Tensor(probs), np.array([0])).item() == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_not_a_distribution_rejected(self):
         with pytest.raises(ValueError, match="distribution"):
-            T.cross_entropy(Tensor(np.full(4, 0.4)), 0)
+            T.cross_entropy_mean(Tensor(np.full((1, 4), 0.4)), np.array([0]))
 
     def test_clamp_keeps_loss_finite(self):
-        probs = np.zeros(3)
-        probs[1] = 1.0
-        loss = T.cross_entropy(Tensor(probs), 0)
+        probs = np.zeros((1, 3))
+        probs[0, 1] = 1.0
+        loss = T.cross_entropy_mean(Tensor(probs), np.array([0]))
         assert np.isfinite(loss.item())
         assert loss.item() == pytest.approx(-math.log(1e-12), rel=1e-9)
 
@@ -511,7 +511,7 @@ class TestCrossEntropy:
         with pytest.raises(ValueError, match="non-finite"):
             T.cross_entropy_mean(Tensor(np.full((2, 3), bad)), np.array([0, 1]))
         with pytest.raises(ValueError, match="non-finite"):
-            T.cross_entropy(Tensor([bad, 0.5, 0.5]), 0)
+            T.cross_entropy_mean(Tensor([[bad, 0.5, 0.5]]), np.array([0]))
 
     @pytest.mark.parametrize("label", [-1, 3])
     def test_label_outside_classes_rejected(self, label):
@@ -519,7 +519,7 @@ class TestCrossEntropy:
         with pytest.raises(ValueError, match=rf"label {label} outside .*\[0, 3\)"):
             T.cross_entropy_mean(probs, np.array([0, label]))
         with pytest.raises(ValueError, match=rf"label {label} outside"):
-            T.cross_entropy(Tensor(np.full(3, 1.0 / 3.0)), label)
+            T.cross_entropy_mean(Tensor(np.full((1, 3), 1.0 / 3.0)), np.array([label]))
 
 
 class TestBackward:
@@ -585,6 +585,6 @@ class TestBackward:
         assert err < 1e-9
 
     def test_grad_check_softmax_cross_entropy(self):
-        z = Tensor(np.random.default_rng(4).standard_normal(6), requires_grad=True)
-        err = grad_check(lambda zz: T.cross_entropy(T.softmax_rows(zz), 2), z)
+        z = Tensor(np.random.default_rng(4).standard_normal((1, 6)), requires_grad=True)
+        err = grad_check(lambda zz: T.cross_entropy_mean(T.softmax_rows(zz), np.array([2])), z)
         assert err < 1e-6
