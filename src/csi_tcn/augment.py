@@ -6,6 +6,13 @@ One expander, `augmented`, serves both domains and takes the domain from the
 input: float grids are preprocessed samples (pairs, packets, subcarriers);
 int8 grids are raw complex recordings with a trailing (re, im) axis, whose
 outputs are rounded back into the signed 8-bit grid.
+
+For raw inputs, `augmented` allocates two float64 scratch grids once per call
+and computes, rounds and clips every output inside them; only the int8 copy
+made by `astype` leaves the generator. A raw grid is 8x larger in float64, and
+a fresh temporary per output would be handed back to the OS and faulted in
+again for the next one. Float outputs stay fresh arrays, because callers such
+as `expand_dataset` keep every one.
 """
 
 from __future__ import annotations
@@ -57,13 +64,18 @@ class AugmentConfig:
         self.methods = tuple(AugmentMethod(m) for m in self.methods)
 
 
-# The operators take float or int8 grids and compute in float64. Each input
-# is converted inside the expression that consumes it, so no float copy
-# outlives its term: a raw recording is 8x larger in float64.
+# The operators take float or int8 grids and compute in float64, each input
+# converted inside the multiply that consumes it. `out` (and `_mix`'s
+# `scratch` for one donor term) are float64 buffers of the inputs' shape to
+# compute into; left None, fresh arrays are allocated.
 
 
 def _dropout(
-    x: np.ndarray, rng: np.random.Generator, lambda_max: float, lam: Optional[float] = None
+    x: np.ndarray,
+    rng: np.random.Generator,
+    lambda_max: float,
+    lam: Optional[float] = None,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     # One draw per (pair, packet, subcarrier) cell, so a raw drop zeroes a
     # whole complex value.
@@ -72,19 +84,31 @@ def _dropout(
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"dropout probability {lam} outside [0, 1]")
     keep = rng.random(x.shape[:3]) >= lam
-    return np.asarray(x, np.float64) * keep.reshape(keep.shape + (1,) * (x.ndim - 3))
+    keep = keep.reshape(keep.shape + (1,) * (x.ndim - 3))
+    return np.multiply(x, keep, out=out, dtype=np.float64)
 
 
 def _mix(
-    a: np.ndarray, b: np.ndarray, c: np.ndarray, eps1: float, eps2: float, eps3: float
+    a: np.ndarray,
+    b: np.ndarray,
+    c: np.ndarray,
+    eps1: float,
+    eps2: float,
+    eps3: float,
+    out: Optional[np.ndarray] = None,
+    scratch: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     if not (a.shape == b.shape == c.shape):
         raise ValueError(f"shape mismatch: {a.shape}, {b.shape}, {c.shape}")
     for eps in (eps1, eps2, eps3):
         if not 0.0 <= eps < 0.5:
             raise ValueError(f"mixing rate {eps} outside [0, 0.5)")
-    f64 = np.float64
-    return np.asarray(a, f64) * (1.0 - eps1) + np.asarray(b, f64) * eps2 + np.asarray(c, f64) * eps3
+    # (A(1 - eps1) + B eps2) + C eps3, summed in this order.
+    out = np.multiply(a, 1.0 - eps1, out=out, dtype=np.float64)
+    term = np.multiply(b, eps2, out=scratch, dtype=np.float64)
+    out += term
+    out += np.multiply(c, eps3, out=term, dtype=np.float64)
+    return out
 
 
 def dropout_augment(
@@ -130,6 +154,7 @@ def augmented(
         raise ValueError("inputs must share one shape; gate/trim before augmenting")
     raw = grids[0].dtype == np.int8
     stream, kind = ("augment_raw", "recordings") if raw else ("augment", "samples")
+    out, scratch = (np.empty(grids[0].shape), np.empty(grids[0].shape)) if raw else (None, None)
     same: dict[int, list[int]] = {}
     for i, label in enumerate(labels):
         same.setdefault(label, []).append(i)
@@ -141,7 +166,7 @@ def augmented(
             for i, label in enumerate(labels):
                 rng = named_rng(cfg.seed, stream, m_idx, copy, i)
                 if method is AugmentMethod.DROPOUT:
-                    out = _dropout(grids[i], rng, cfg.dropout_lambda_max)
+                    grid = _dropout(grids[i], rng, cfg.dropout_lambda_max, out=out)
                 else:
                     same_label = method is AugmentMethod.MIX_SAME
                     pool = same[label] if same_label else other[label]
@@ -156,10 +181,10 @@ def augmented(
                         ks = [k + (k >= rank[i]) for k in ks]
                     eps1, eps2, eps3 = rng.uniform(0.0, cfg.mix_epsilon_max, size=3)
                     b, c = (grids[pool[k]] for k in ks)
-                    out = _mix(grids[i], b, c, eps1, eps2, eps3)
-                if raw:  # `out` is the operator's own fresh array: round in place
-                    out = np.clip(np.rint(out, out=out), -128, 127, out=out).astype(np.int8)
-                yield (method, copy, i), out
+                    grid = _mix(grids[i], b, c, eps1, eps2, eps3, out=out, scratch=scratch)
+                if raw:  # round and clip in the scratch; `astype` makes the output
+                    grid = np.clip(np.rint(grid, out=grid), -128, 127, out=grid).astype(np.int8)
+                yield (method, copy, i), grid
 
 
 def expand_dataset(

@@ -5,16 +5,21 @@ Every command is a thin composition of the library modules, reads one JSON
 config (with `--set section.key=value` overrides), and emits deterministic
 files: same inputs and seed give byte-identical outputs. Wall-clock timings
 go to a separate `timings.csv`, which is the one intentionally
-non-reproducible artifact.
+non-reproducible artifact. `preprocess` and `augment` write through a
+staging directory (`_staged`), so a failed run leaves `--out` untouched.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import itertools
 import os
+import shutil
 import sys
-from typing import Optional
+import tempfile
+from typing import Iterator, Optional
 
 from . import __version__
 from .augment import augmented
@@ -148,6 +153,36 @@ def _unique_stem(path: str, taken: set[str]) -> str:
     return candidate
 
 
+_STAGING_MARK = ".staging-"
+
+
+@contextlib.contextmanager
+def _staged(out: str) -> Iterator[tuple[str, list[ManifestEntry]]]:
+    """Yield `(staging directory, manifest entries)` for a dataset bound for
+    `out`. The body writes each file into the staging directory under its
+    final name and appends its entry with the path it will have in `out`.
+
+    When the body returns, the files are renamed into `out` (created if
+    missing; files of the same name are replaced, others kept) and
+    `manifest.csv` is written last. When it raises, the staging directory is
+    removed and `out` is left as it was. The staging directory sits in
+    `out`'s parent, so every rename stays on one filesystem.
+    """
+    out = os.path.abspath(out)
+    parent = os.path.dirname(out)
+    os.makedirs(parent, exist_ok=True)
+    stage = tempfile.mkdtemp(prefix=os.path.basename(out) + _STAGING_MARK, dir=parent)
+    entries: list[ManifestEntry] = []
+    try:
+        yield stage, entries
+        os.makedirs(out, exist_ok=True)
+        for name in os.listdir(stage):
+            os.replace(os.path.join(stage, name), os.path.join(out, name))
+        save_manifest(DatasetManifest(entries=entries), os.path.join(out, "manifest.csv"))
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
+
+
 def cmd_synth(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     manifest = generate_synthetic(cfg.synth, args.out)
@@ -161,35 +196,29 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def cmd_preprocess(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     manifest = load_manifest(args.manifest)
-    entries = []
     taken: set[str] = set()
     discarded = 0
-    for entry in manifest:
-        rec = load_recording(entry.path)
-        gated = gate_and_trim(rec, cfg.pipeline.target_np)
-        if gated is None:
-            discarded += 1
-            continue
-        sample = preprocess(
-            gated,
-            cfg.filter,
-            cfg.wavelet,
-            label=entry.label,
-            normalize_first=cfg.pipeline.normalize_first,
-        )
-        name = _unique_stem(entry.path, taken) + ".csp"
-        path = os.path.join(args.out, name)
+    with _staged(args.out) as (stage, entries):
+        for entry in manifest:
+            rec = load_recording(entry.path)
+            gated = gate_and_trim(rec, cfg.pipeline.target_np)
+            if gated is None:
+                discarded += 1
+                continue
+            sample = preprocess(
+                gated,
+                cfg.filter,
+                cfg.wavelet,
+                label=entry.label,
+                normalize_first=cfg.pipeline.normalize_first,
+            )
+            name = _unique_stem(entry.path, taken) + ".csp"
+            save_sample(sample, os.path.join(stage, name))
+            entries.append(dataclasses.replace(entry, path=os.path.join(args.out, name)))
         if not entries:
-            os.makedirs(args.out, exist_ok=True)
-        save_sample(sample, path)
-        entries.append(
-            ManifestEntry(path=path, label=entry.label, pair_id=entry.pair_id, trial_id=entry.trial_id)
-        )
-    if not entries:
-        raise ValueError(
-            f"no recording reached the {cfg.pipeline.target_np}-packet threshold"
-        )
-    save_manifest(DatasetManifest(entries=entries), os.path.join(args.out, "manifest.csv"))
+            raise ValueError(
+                f"no recording reached the {cfg.pipeline.target_np}-packet threshold"
+            )
     print(f"preprocessed {len(entries)} recordings to {args.out} (discarded {discarded})")
     return 0
 
@@ -213,20 +242,18 @@ def cmd_augment(args: argparse.Namespace) -> int:
         def write(i, grid, path):
             save_recording(dataclasses.replace(recordings[i], data=grid), path)
 
-    # Expand completely before creating --out, so a failure leaves nothing behind.
-    outputs = [(e.path, i, grids[i]) for i, e in enumerate(base)] + [
+    originals = ((e.path, i, grids[i]) for i, e in enumerate(base))
+    expanded = (
         (f"aug_{method.value}_{copy}_{i:05d}", i, grid)
         for (method, copy, i), grid in augmented(grids, labels, cfg.augment)
-    ]
-    os.makedirs(args.out, exist_ok=True)
-    entries = []
+    )
     taken: set[str] = set()
-    for stem, i, grid in outputs:
-        path = os.path.join(args.out, _unique_stem(stem, taken) + suffix)
-        write(i, grid, path)
-        src = base[i]
-        entries.append(ManifestEntry(path=path, label=src.label, pair_id=src.pair_id, trial_id=src.trial_id))
-    save_manifest(DatasetManifest(entries=entries), os.path.join(args.out, "manifest.csv"))
+    with _staged(args.out) as (stage, entries):
+        # Each output is written as soon as it is made; none is held.
+        for stem, i, grid in itertools.chain(originals, expanded):
+            name = _unique_stem(stem, taken) + suffix
+            write(i, grid, os.path.join(stage, name))
+            entries.append(dataclasses.replace(base[i], path=os.path.join(args.out, name)))
     print(
         f"expanded {len(base)} -> {len(entries)} samples "
         f"({', '.join(m.value for m in cfg.augment.methods)}) to {args.out}"
@@ -249,9 +276,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     if bad is not None:
         raise ValueError(f"label {bad} outside the model's classes [0, {n_classes})")
     samples = _load_samples(manifest)
-    os.makedirs(args.out, exist_ok=True)
 
     if args.kfold is not None:
+        os.makedirs(args.out, exist_ok=True)
         per_fold, mean_accuracy = kfold_evaluate(samples, cfg.model, cfg.train, k=args.kfold)
         for fold, metrics in enumerate(per_fold):
             write_metrics_csv(metrics, os.path.join(args.out, f"fold{fold}_metrics.csv"))
@@ -269,6 +296,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         return 0
 
     train_set, val_set = holdout_split(samples, cfg.train)
+    os.makedirs(args.out, exist_ok=True)
     params, metrics = train(train_set, cfg.model, cfg.train, val_set)
 
     save_checkpoint(os.path.join(args.out, "checkpoint.ckpt"), params, cfg.model)

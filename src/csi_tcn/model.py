@@ -77,6 +77,8 @@ class ModelConfig:
         self.mask_mode = MaskMode(self.mask_mode)
         if any(f < 1 for f in self.filters):
             raise ValueError(f"filters {self.filters} must all be >= 1")
+        if self.attention_placement is AttentionPlacement.EVERY_LAYER and not self.filters:
+            raise ValueError("attention_placement every_layer needs at least one filter block")
         if self.kernel < 1:
             raise ValueError("kernel must be >= 1")
         if not 0.0 <= self.dropout < 1.0:

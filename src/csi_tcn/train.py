@@ -378,12 +378,23 @@ def holdout_split(
     dataset: Sequence[PreprocessedSample], train_cfg: TrainConfig
 ) -> tuple[list[PreprocessedSample], list[PreprocessedSample]]:
     """(training split, validation split): fold 0 of the stratified
-    `train_cfg.k_folds` plan is held out."""
+    `train_cfg.k_folds` plan is held out. Raises, like `kfold_evaluate`, when
+    the training split misses a class."""
     labels = [s.label for s in dataset]
     if None in labels:
         raise ValueError("all samples must be labelled")
     plan = kfold_plan(labels, k=train_cfg.k_folds, seed=train_cfg.seed)
-    return [dataset[i] for i in plan.train_indices(0)], [dataset[i] for i in plan.folds[0]]
+    train_idx = _fold_train_indices(plan, np.asarray(labels), 0)
+    return [dataset[i] for i in train_idx], [dataset[i] for i in plan.folds[0]]
+
+
+def _fold_train_indices(plan: KFoldPlan, labels: np.ndarray, fold: int) -> np.ndarray:
+    """Training indices of `fold`; raises when they miss a class of `labels`."""
+    train_idx = plan.train_indices(fold)
+    missing = np.setdiff1d(np.unique(labels), labels[train_idx])
+    if len(missing):
+        raise ValueError(f"class {missing[0]} absent from the training split of fold {fold}")
+    return train_idx
 
 
 def kfold_evaluate(
@@ -396,14 +407,9 @@ def kfold_evaluate(
     metrics and the arithmetic mean of the final validation accuracies."""
     _, labels = _stack(dataset)
     plan = kfold_plan(labels, k=k, seed=train_cfg.seed)
-    classes = np.unique(labels)
     per_fold: list[Metrics] = []
     for fold in range(k):
-        train_idx = plan.train_indices(fold)
-        present = np.unique(labels[train_idx])
-        missing = np.setdiff1d(classes, present)
-        if len(missing):
-            raise ValueError(f"class {missing[0]} absent from the training split of fold {fold}")
+        train_idx = _fold_train_indices(plan, labels, fold)
         train_set = [dataset[i] for i in train_idx]
         val_set = [dataset[i] for i in plan.folds[fold]]
         _, metrics = train(train_set, model_cfg, train_cfg, val_set)

@@ -2,6 +2,20 @@ import numpy as np
 import pytest
 
 from csi_tcn import csi_data, dsp
+from csi_tcn.cli import _STAGING_MARK
+
+
+@pytest.fixture(autouse=True)
+def no_staging_left(request):
+    """Fail any test that leaves a CLI staging directory under its tmp_path:
+    `preprocess` and `augment` must rename their outputs into `--out` or
+    remove the staging directory, whether they succeed or fail."""
+    tmp = request.getfixturevalue("tmp_path") if "tmp_path" in request.fixturenames else None
+    yield
+    if tmp is not None:
+        left = sorted(str(p.relative_to(tmp)) for p in tmp.rglob(f"*{_STAGING_MARK}*"))
+        if left:
+            pytest.fail(f"staging directories left behind: {left}")
 
 
 def build_dataset(

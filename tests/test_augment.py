@@ -1,5 +1,6 @@
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ import augment_reference as reference
 from csi_tcn.augment import (
     AugmentConfig,
     AugmentMethod,
+    _dropout,
+    _mix,
     augmented,
     dropout_augment,
     expand_dataset,
@@ -361,6 +364,92 @@ class TestAgainstReference:
             else:
                 rec = load_recording(entry.path)
                 assert rec.data.tobytes() == data.tobytes() and (rec.n_t, rec.n_r) == dims
+
+
+EXTREMES = np.array([-128, -127, -1, 0, 1, 126, 127], dtype=np.int8)
+
+
+def extreme_recordings(seed: int, n: int) -> list:
+    """Recordings mostly at the int8 limits, with zeros and +-1 between."""
+    rng = np.random.default_rng(seed)
+    recs = [random_recording(rng, n_p=12, n_s=4) for _ in range(n)]
+    for rec in recs:
+        rec.data[...] = EXTREMES[rng.integers(len(EXTREMES), size=rec.data.shape)]
+    return recs
+
+
+class TestRawScratch:
+    """Raw outputs are computed in two float64 buffers that `augmented`
+    reuses for every output; each result must still match the reference's
+    fresh-array arithmetic bit for bit, signed zeros and clipping included."""
+
+    def test_dropout_into_reused_buffer(self):
+        recs = extreme_recordings(3, 4)
+        buf = np.full(recs[0].data.shape, np.nan)
+        for k, rec in enumerate(recs):
+            got = _dropout(rec.data, named_rng(k, "t"), 0.9, lam=0.5, out=buf)
+            keep = named_rng(k, "t").random(rec.data.shape[:-1]) >= 0.5
+            want = reference._rec_to_float(rec) * keep[..., None]
+            assert got is buf and got.tobytes() == want.tobytes()
+            assert (np.signbit(got) & (got == 0)).any()  # a dropped negative is -0.0
+
+    @pytest.mark.parametrize("eps", [(0.0, 0.0, 0.0), (0.45, 0.0, 0.0), (0.0, 0.45, 0.45), (0.13, 0.31, 0.07)])
+    def test_mix_into_reused_buffers(self, eps):
+        recs = extreme_recordings(5, 6)
+        out, scratch = np.full(recs[0].data.shape, np.nan), np.full(recs[0].data.shape, -0.0)
+        for a, b, c in zip(recs, recs[1:], recs[2:]):
+            got = _mix(a.data, b.data, c.data, *eps, out=out, scratch=scratch)
+            # The reference mixes 3-D samples; fold the (re, im) axis in.
+            ref = [PreprocessedSample(data=reference._rec_to_float(r).reshape(6, 12, 8)) for r in (a, b, c)]
+            want = reference.mix_samples(*ref, *eps).data
+            assert got is out and got.tobytes() == want.tobytes()
+        if eps[1] + eps[2] > eps[0]:
+            assert got.max() > 127.5 and got.min() < -128.5  # the clip is exercised
+
+    def test_expansion_at_the_limits_matches_reference(self):
+        recs = extreme_recordings(9, 12)
+        cfg = AugmentConfig(copies_per_method=2, mix_epsilon_max=0.45, dropout_lambda_max=0.9, seed=4)
+        ref = reference.expand_recordings(list(zip(recs, LABELS)), cfg)[len(recs):]
+        new = list(augmented([r.data for r in recs], LABELS, cfg))
+        assert [g.tobytes() for _, g in new] == [r.data.tobytes() for r, _ in ref]
+        assert all(not np.shares_memory(g, h) for (_, g), (_, h) in zip(new, new[1:]))
+
+    def test_float_outputs_are_fresh(self):
+        dataset = tiny_dataset(per_class=3, width=5)
+        new = [g for _, g in augmented([s.data for s in dataset], [s.label for s in dataset], AugmentConfig())]
+        assert len({id(g) for g in new}) == len(new)
+        assert not any(np.shares_memory(g, h) for k, g in enumerate(new) for h in new[k + 1:])
+
+
+def _augment_peak(argv: list) -> int:
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("stage", ["post", "pre"])
+def test_augment_peak_memory_does_not_grow_with_outputs(tmp_path, capsys, stage):
+    """Outputs are written as they are made, so tripling `copies_per_method`
+    (54 -> 162 new outputs here) adds less than two outputs to the peak."""
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"synth": {"classes": 3, "samples_per_class": 6, "n_p": 256, "n_s": 30}, "pipeline": {"target_np": 256}}))
+    assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "raw")]) == 0
+    assert main(["preprocess", str(tmp_path / "raw" / "manifest.csv"), "--config", str(cfg), "--out", str(tmp_path / "prep")]) == 0
+    src = tmp_path / ("prep" if stage == "post" else "raw") / "manifest.csv"
+    out = next((tmp_path / "prep").glob("*.csp")) if stage == "post" else next((tmp_path / "raw").glob("*.csi"))
+    one_output = out.stat().st_size
+    argv = ["augment", str(src), "--stage", stage, "--config", str(cfg)]
+    _augment_peak(argv + ["--out", str(tmp_path / "warm")])
+    peaks = [
+        _augment_peak(argv + ["--set", f"augment.copies_per_method={n}", "--out", str(tmp_path / f"c{n}")])
+        for n in (1, 3)
+    ]
+    capsys.readouterr()
+    assert len(list((tmp_path / "c3").iterdir())) == 18 * 10 + 1
+    assert peaks[1] - peaks[0] < 2 * one_output, (peaks, one_output)
 
 
 def test_config_validation():

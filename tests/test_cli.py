@@ -4,8 +4,10 @@ import os
 
 import pytest
 
+from csi_tcn import cli
 from csi_tcn import train as train_mod
 from csi_tcn.cli import main
+from csi_tcn.csi_data import DatasetManifest, load_manifest, save_manifest
 
 CONFIG = {
     "seed": 7,
@@ -340,6 +342,107 @@ def test_failed_preprocess_writes_no_output_directory(workspace, tmp_path, capsy
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: no recording reached the 1500-packet threshold")
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
+def test_truncated_recording_fails_preprocess_without_output(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(CONFIG))
+    raw = tmp_path / "raw"
+    synth = ["synth", "--config", str(cfg), "--set", "synth.classes=2", "--set", "synth.samples_per_class=3"]
+    assert main(synth + ["--out", str(raw)]) == 0
+    fourth = load_manifest(raw / "manifest.csv").entries[3].path
+    with open(fourth, "r+b") as fh:
+        fh.truncate(100)
+    capsys.readouterr()
+    out = tmp_path / "prep"
+    code = main(["preprocess", str(raw / "manifest.csv"), "--config", str(cfg), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and os.path.basename(fourth) in err
+    assert len(err.strip().splitlines()) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["raw", "run.json"]
+
+
+def _fail_on_call(monkeypatch, name: str, n: int) -> None:
+    """Make `cli.<name>` raise OSError on its n-th call."""
+    real = getattr(cli, name)
+    calls = []
+
+    def flaky(*args):
+        calls.append(1)
+        if len(calls) == n:
+            raise OSError(f"disk full at write {n}")
+        real(*args)
+
+    monkeypatch.setattr(cli, name, flaky)
+
+
+WRITE_STEPS = [
+    ("save_sample", ["augment", "prep/manifest.csv", "--stage", "post"]),
+    ("save_recording", ["augment", "raw/manifest.csv", "--stage", "pre"]),
+    ("save_sample", ["preprocess", "raw/manifest.csv"]),
+]
+
+
+@pytest.mark.parametrize("existing", [False, True])
+@pytest.mark.parametrize("writer, argv", WRITE_STEPS)
+def test_write_failure_leaves_out_as_it_was(workspace, tmp_path, monkeypatch, capsys, writer, argv, existing):
+    root, cfg = workspace
+    out = tmp_path / "out"
+    if existing:
+        out.mkdir()
+        (out / "keep.txt").write_text("kept")
+        (out / "manifest.csv").write_text("old\n")
+    before = tree_digest(out)
+    _fail_on_call(monkeypatch, writer, 5)
+    code = main([argv[0], str(root / argv[1]), *argv[2:], "--config", str(cfg), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "error: disk full at write 5\n"
+    assert out.exists() == existing and tree_digest(out) == before
+    assert [p.name for p in tmp_path.iterdir()] == (["out"] if existing else [])
+
+
+@pytest.mark.parametrize("stage, manifest", [("post", "prep"), ("pre", "raw")])
+def test_augment_into_existing_out_adds_and_replaces(workspace, tmp_path, stage, manifest):
+    root, cfg = workspace
+    argv = ["augment", str(root / manifest / "manifest.csv"), "--stage", stage, "--config", str(cfg)]
+    fresh, existing = tmp_path / "fresh", tmp_path / "existing"
+    assert main(argv + ["--out", str(fresh)]) == 0
+    existing.mkdir()
+    (existing / "keep.txt").write_text("kept")
+    (existing / "manifest.csv").write_text("old\n")
+    clash = next(p.name for p in fresh.iterdir() if p.name.startswith("aug_"))
+    (existing / clash).write_bytes(b"stale")
+    assert main(argv + ["--out", str(existing)]) == 0
+    want = dict(tree_digest(fresh), **{"keep.txt": tree_digest(existing)["keep.txt"]})
+    assert tree_digest(existing) == want
+    assert (existing / "keep.txt").read_text() == "kept"
+
+
+def test_holdout_missing_class_fails_before_output(workspace, tmp_path, capsys):
+    root, cfg = workspace
+    entries = load_manifest(root / "prep" / "manifest.csv").entries
+    by_label = {c: [e for e in entries if e.label == c] for c in range(3)}
+    manifest = tmp_path / "manifest.csv"
+    save_manifest(DatasetManifest(entries=by_label[0][:4] + by_label[1][:4] + by_label[2][:1]), manifest)
+    out = tmp_path / "never"
+    code = main(["train", str(manifest), "--config", str(cfg), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == "error: class 2 absent from the training split of fold 0\n"
+    assert not out.exists()
+
+
+def test_every_layer_attention_without_blocks_fails_before_output(workspace, tmp_path, capsys):
+    root, cfg = workspace
+    out = tmp_path / "never"
+    overrides = ["--set", "model.filters=[]", "--set", "model.attention_placement=every_layer"]
+    code = main(["train", str(root / "prep" / "manifest.csv"), "--config", str(cfg), *overrides, "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "every_layer needs at least one filter block" in err
     assert len(err.strip().splitlines()) == 1
     assert not out.exists()
 

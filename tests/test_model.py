@@ -446,3 +446,11 @@ def test_config_validation():
 def test_config_rejects_widths_below_one(filters):
     with pytest.raises(ValueError, match=r"filters .* must all be >= 1"):
         ModelConfig(filters=filters)
+
+
+def test_config_rejects_every_layer_attention_without_blocks():
+    # With no blocks, every_layer would make a site `layer0` that no forward
+    # pass calls: parameters that only weight decay would ever touch.
+    with pytest.raises(ValueError, match="every_layer needs at least one filter block"):
+        ModelConfig(filters=(), attention_placement="every_layer")
+    assert ModelConfig(filters=(), attention_placement="post_tcn").filters == ()

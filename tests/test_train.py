@@ -8,6 +8,7 @@ import pytest
 
 import csi_tcn
 from csi_tcn import train as train_mod
+from csi_tcn.dsp import PreprocessedSample
 from csi_tcn.model import ModelConfig, init_model
 from csi_tcn.seeding import named_rng
 from csi_tcn.tensor import Tensor
@@ -17,6 +18,7 @@ from csi_tcn.train import (
     adamw_step,
     ablate,
     evaluate,
+    holdout_split,
     kfold_evaluate,
     kfold_plan,
     lr_at_epoch,
@@ -169,6 +171,17 @@ class TestKFold:
                 TrainConfig(batch_size=4, epochs=1, seed=0),
                 k=2,
             )
+
+    def test_holdout_split_rejects_a_class_missing_from_training(self):
+        # kfold_plan deals each class round-robin from fold 0, so the lone
+        # class-2 sample is all of its class and lands in validation.
+        labels = [0, 0, 0, 0, 1, 1, 1, 1, 2]
+        dataset = [PreprocessedSample(data=np.full((1, 2, 1), float(k)), label=c) for k, c in enumerate(labels)]
+        with pytest.raises(ValueError, match="^class 2 absent from the training split of fold 0$"):
+            holdout_split(dataset, TrainConfig(k_folds=3))
+        train_set, val_set = holdout_split(dataset[:-1], TrainConfig(k_folds=3))
+        assert sorted(s.label for s in train_set) == [0, 0, 1, 1]
+        assert sorted(s.label for s in val_set) == [0, 0, 1, 1]
 
 
 class TestTraining:
