@@ -44,6 +44,7 @@ from .train import (
     evaluate,
     holdout_split,
     kfold_evaluate,
+    kfold_splits,
     train,
     write_ablation_table,
     write_confusion_csv,
@@ -278,6 +279,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     samples = _load_samples(manifest)
 
     if args.kfold is not None:
+        # Every fold is checked (and `kfold_evaluate` repeats the cheap split)
+        # so that a bad plan fails before `--out` exists.
+        kfold_splits([s.label for s in samples], args.kfold, cfg.train.seed)
         os.makedirs(args.out, exist_ok=True)
         per_fold, mean_accuracy = kfold_evaluate(samples, cfg.model, cfg.train, k=args.kfold)
         for fold, metrics in enumerate(per_fold):

@@ -4,7 +4,12 @@ Covers exactly the primitives the classifier needs: dilated causal 1-D
 convolution, affine maps, row softmax, fused causal attention, ReLU,
 elementwise arithmetic, axis reductions, inverted dropout, and cross-entropy.
 Graphs are built eagerly; calling `backward()` on a scalar root accumulates
-gradients into every reachable tensor that requires them.
+gradients into every reachable tensor that requires them. Like PyTorch's
+default (`retain_graph=False`), backward frees the graph as it walks it: each
+node drops its backward closure and its parents once its gradient has been
+handed on, so forward data and gradients go as soon as nothing else holds
+the node. Leaves, and any intermediate tensor the caller still holds, keep
+their `.grad`; a second backward through a consumed graph raises ValueError.
 
 Conventions: time is the trailing axis for convolution inputs (C, T) and the
 second-to-last for attention inputs (T, F); matmul requires >= 2-D operands
@@ -24,10 +29,17 @@ weights, recomputing them per chunk in backward. Reductions across samples
 join. Every sample's float operations keep their order, so results are
 bitwise independent of the worker count and the chunk size. BLAS calls
 inside the workers are expected to be single-threaded; `train` pins them.
+
+Heap thresholds: because backward frees arrays in the middle of the pass,
+glibc's dynamic rule would trim the top of the heap several times per step
+and the pages would fault straight back in on the next one. At import the
+module fixes the mmap threshold at 32 MiB and the trim threshold at 64 MiB,
+the values that rule climbs to anyway (see `_hold_heap_thresholds`).
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -56,9 +68,38 @@ __all__ = [
     "grad_check",
 ]
 
+# glibc mallopt parameter numbers (malloc.h).
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _hold_heap_thresholds() -> None:
+    """Fix glibc's mmap threshold at 32 MiB and its trim threshold at 64 MiB.
+
+    glibc starts both low and raises them only as large blocks are freed.
+    Until they settle, the frees that `backward` makes in the middle of a
+    pass trim the top of the heap, and the next step faults those pages back
+    in. These are the values the dynamic rule climbs to (its 64-bit mmap
+    ceiling, and trim at twice that), fixed from the start. The C library is
+    taken from the running process (`CDLL(None)`) because
+    `ctypes.util.find_library` starts a subprocess. Without `mallopt` (a C
+    library other than glibc) this does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 * 2**20)
+    mallopt(_M_TRIM_THRESHOLD, 64 * 2**20)
+
+
+_hold_heap_thresholds()
+
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "op")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "op", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -143,7 +184,9 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
     array another node also holds (the child's own gradient, or a view of
     it). That is safe because of two invariants: later contributions are
     added out of place (`t.grad + g` makes a new array), and no backward
-    function writes into an array it received or handed on.
+    function writes into an array it received or handed on. When `backward`
+    frees a consumed node, an array that a parent's `.grad` aliases stays
+    alive through the parent; only arrays no live tensor holds are released.
     """
     if not t.requires_grad:
         return
@@ -653,6 +696,11 @@ def cross_entropy_mean(probabilities: Tensor, labels: np.ndarray) -> Tensor:
 
 
 def _topological_order(root: Tensor) -> list[Tensor]:
+    """Nodes reachable from `root` that require grad, parents before children.
+
+    Raises before any gradient is touched when a recorded node (not a leaf)
+    has lost its backward closure, i.e. an earlier backward consumed it.
+    """
     order: list[Tensor] = []
     seen: set[int] = set()
     stack: list[tuple[Tensor, bool]] = [(root, False)]
@@ -664,6 +712,8 @@ def _topological_order(root: Tensor) -> list[Tensor]:
         if id(node) in seen:
             continue
         seen.add(id(node))
+        if node._backward is None and node.op != "leaf":
+            raise ValueError("graph was already consumed by backward; run the forward pass again")
         stack.append((node, True))
         for parent in node._parents:
             if parent.requires_grad:
@@ -672,16 +722,28 @@ def _topological_order(root: Tensor) -> list[Tensor]:
 
 
 def backward(root: Tensor) -> None:
-    """Accumulate gradients of the scalar `root` into all recorded tensors."""
+    """Accumulate gradients of the scalar `root` into all recorded tensors,
+    freeing the graph as it goes.
+
+    Nodes are popped from the topological order child first. Once a node's
+    closure has handed its gradient to its parents, the node drops the
+    closure and its parents, so the node (its forward data and its gradient)
+    is freed as soon as nothing outside the graph holds it. Leaves and any
+    tensor the caller still holds keep their `.grad`. A consumed graph cannot
+    be walked again: a second call through it raises ValueError.
+    """
     if root.size != 1:
         raise ValueError(f"backward root must be scalar, got shape {root.shape}")
     if not root.requires_grad:
         raise ValueError("backward root does not require grad")
     order = _topological_order(root)
     root.grad = np.ones_like(root.data)
-    for node in reversed(order):
+    while order:
+        node = order.pop()
         if node._backward is not None:
             node._backward(node.grad)
+            node._backward = None
+            node._parents = ()
 
 
 def grad_check(

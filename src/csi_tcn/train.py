@@ -117,6 +117,7 @@ __all__ = [
     "kfold_plan",
     "holdout_split",
     "kfold_evaluate",
+    "kfold_splits",
     "ablate",
     "write_metrics_csv",
     "write_confusion_csv",
@@ -397,6 +398,15 @@ def _fold_train_indices(plan: KFoldPlan, labels: np.ndarray, fold: int) -> np.nd
     return train_idx
 
 
+def kfold_splits(labels: Sequence[int], k: int, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(training, validation) indices of every fold of the stratified plan.
+    Checks every fold before returning, so a class missing from any training
+    split raises before anything is trained or written."""
+    labels = np.asarray(labels)
+    plan = kfold_plan(labels, k=k, seed=seed)
+    return [(_fold_train_indices(plan, labels, fold), plan.folds[fold]) for fold in range(k)]
+
+
 def kfold_evaluate(
     dataset: Sequence[PreprocessedSample],
     model_cfg: ModelConfig,
@@ -406,12 +416,10 @@ def kfold_evaluate(
     """Train k models, each validated on its held-out fold; returns per-fold
     metrics and the arithmetic mean of the final validation accuracies."""
     _, labels = _stack(dataset)
-    plan = kfold_plan(labels, k=k, seed=train_cfg.seed)
     per_fold: list[Metrics] = []
-    for fold in range(k):
-        train_idx = _fold_train_indices(plan, labels, fold)
+    for train_idx, val_idx in kfold_splits(labels, k, train_cfg.seed):
         train_set = [dataset[i] for i in train_idx]
-        val_set = [dataset[i] for i in plan.folds[fold]]
+        val_set = [dataset[i] for i in val_idx]
         _, metrics = train(train_set, model_cfg, train_cfg, val_set)
         per_fold.append(metrics)
     mean_accuracy = float(np.mean([m.final_val_accuracy for m in per_fold]))

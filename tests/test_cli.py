@@ -435,6 +435,31 @@ def test_holdout_missing_class_fails_before_output(workspace, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "k, message",
+    [
+        ("3", "class 2 absent from the training split of fold 0"),
+        ("20", "cannot split 9 samples into 20 folds"),
+    ],
+)
+def test_kfold_bad_plan_fails_before_output(workspace, tmp_path, capsys, monkeypatch, k, message):
+    root, cfg = workspace
+    entries = load_manifest(root / "prep" / "manifest.csv").entries
+    by_label = {c: [e for e in entries if e.label == c] for c in range(3)}
+    manifest = tmp_path / "manifest.csv"
+    save_manifest(DatasetManifest(entries=by_label[0][:4] + by_label[1][:4] + by_label[2][:1]), manifest)
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained on a plan that should have been rejected")
+
+    monkeypatch.setattr(train_mod, "train", no_training)
+    out = tmp_path / "never"
+    code = main(["train", str(manifest), "--config", str(cfg), "--kfold", k, "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_every_layer_attention_without_blocks_fails_before_output(workspace, tmp_path, capsys):
     root, cfg = workspace
     out = tmp_path / "never"

@@ -1,8 +1,10 @@
 import math
+import subprocess
 import sys
 import threading
 import time
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -577,6 +579,50 @@ class TestBackward:
         assert np.array_equal(r.grad, c1.T + c2)
         assert np.array_equal(x.grad, (c1.T + c2).reshape(2, 6) + c3)
 
+    def test_second_backward_through_a_consumed_graph_raises(self):
+        x = Tensor([2.0, -1.0], requires_grad=True)
+        loss = T.sum_over(T.mul(x, x))
+        loss.backward()
+        first = x.grad
+        with pytest.raises(ValueError, match="already consumed by backward"):
+            loss.backward()
+        assert x.grad is first
+        assert np.array_equal(x.grad, [4.0, -2.0])
+
+    def test_backward_into_a_consumed_subgraph_raises(self):
+        x = Tensor([3.0], requires_grad=True)
+        y = T.mul(x, x)
+        T.sum_over(y).backward()
+        with pytest.raises(ValueError, match="already consumed by backward"):
+            T.sum_over(T.add(y, x)).backward()
+        assert np.array_equal(x.grad, [6.0])
+
+    def test_scalar_leaf_root(self):
+        x = Tensor(3.0, requires_grad=True)
+        x.backward()
+        x.backward()
+        assert x.grad == 1.0
+
+    def test_graph_is_released_as_it_is_consumed(self):
+        x = Tensor(np.ones((2, 3)), requires_grad=True)
+        h = T.mul(x, Tensor(np.full((2, 3), 2.0)))
+        loss = T.sum_over(T.relu(h))
+        seen = []
+        inner = h._backward
+
+        def probe(g):
+            # when h runs, the sum above it has already let go of relu
+            seen.append(loss._parents)
+            inner(g)
+
+        h._backward = probe
+        loss.backward()
+        assert seen == [()]
+        assert h._backward is None and h._parents == ()
+        assert loss._backward is None and loss._parents == ()
+        assert np.array_equal(h.grad, np.ones((2, 3)))
+        assert np.array_equal(x.grad, np.full((2, 3), 2.0))
+
     def test_grad_check_linear_is_tight(self):
         w = Tensor(np.random.default_rng(1).standard_normal((2, 3)), requires_grad=True)
         coeff = Tensor(np.random.default_rng(2).standard_normal((4, 2)))
@@ -588,3 +634,32 @@ class TestBackward:
         z = Tensor(np.random.default_rng(4).standard_normal((1, 6)), requires_grad=True)
         err = grad_check(lambda zz: T.cross_entropy_mean(T.softmax_rows(zz), np.array([2])), z)
         assert err < 1e-6
+
+
+class TestHeapThresholds:
+    class _Mallopt:
+        def __init__(self):
+            self.calls = []
+
+        def __call__(self, param, value):
+            self.calls.append((param, value))
+            return 1
+
+    def test_sets_mmap_and_trim_thresholds(self, monkeypatch):
+        mallopt = self._Mallopt()
+        monkeypatch.setattr(T.ctypes, "CDLL", lambda name: types.SimpleNamespace(mallopt=mallopt))
+        T._hold_heap_thresholds()
+        assert mallopt.calls == [(-3, 32 * 2**20), (-1, 64 * 2**20)]
+
+    def test_starts_no_subprocess(self, monkeypatch):
+        # ctypes.util.find_library starts a child process, whose peak RSS
+        # would count towards any RUSAGE_CHILDREN reading of this one
+        def refuse(*args, **kwargs):
+            raise AssertionError("subprocess started")
+
+        monkeypatch.setattr(subprocess, "Popen", refuse)
+        T._hold_heap_thresholds()
+
+    def test_no_op_without_mallopt(self, monkeypatch):
+        monkeypatch.setattr(T.ctypes, "CDLL", lambda name: object())
+        T._hold_heap_thresholds()
