@@ -29,7 +29,6 @@ from .seeding import named_rng
 __all__ = [
     "AugmentMethod",
     "AugmentConfig",
-    "dropout_augment",
     "mix_samples",
     "augmented",
     "expand_dataset",
@@ -77,8 +76,9 @@ def _dropout(
     lam: Optional[float] = None,
     out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    # One draw per (pair, packet, subcarrier) cell, so a raw drop zeroes a
-    # whole complex value.
+    # Zero each (pair, packet, subcarrier) cell with probability
+    # lambda ~ U(0, lambda_max), so a raw drop zeroes a whole complex value.
+    # `lam` overrides the drawn probability (test hook).
     if lam is None:
         lam = rng.uniform(0.0, lambda_max)
     if not 0.0 <= lam <= 1.0:
@@ -109,19 +109,6 @@ def _mix(
     out += term
     out += np.multiply(c, eps3, out=term, dtype=np.float64)
     return out
-
-
-def dropout_augment(
-    sample: PreprocessedSample,
-    rng: np.random.Generator,
-    lambda_max: float = 0.07,
-    lam: Optional[float] = None,
-) -> PreprocessedSample:
-    """Zero each scalar independently with probability lambda ~ U(0, lambda_max).
-
-    `lam` overrides the drawn probability (test hook).
-    """
-    return PreprocessedSample(data=_dropout(sample.data, rng, lambda_max, lam), label=sample.label)
 
 
 def mix_samples(

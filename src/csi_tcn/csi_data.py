@@ -28,6 +28,7 @@ __all__ = [
     "ClassSignature",
     "SyntheticSpec",
     "check_label",
+    "read_container",
     "load_recording",
     "save_recording",
     "gate_and_trim",
@@ -112,30 +113,43 @@ def save_recording(rec: CsiRecording, path: str | os.PathLike) -> None:
         fh.write(payload)
 
 
-def load_recording(path: str | os.PathLike) -> CsiRecording:
+def read_container(
+    path: str | os.PathLike,
+    magic: bytes,
+    header: struct.Struct,
+    names: Sequence[str],
+    dtype: str | np.dtype,
+    per_cell: int = 1,
+) -> tuple[tuple[int, ...], np.ndarray]:
+    """Read a container file: `magic`, the u16 dimension fields of `header`
+    (called `names` in errors), then `per_cell` items of `dtype` per cell of
+    the grid those fields span. Returns the fields and the flat payload, a
+    read-only view of the file's bytes. Raises CsiFormatError naming `path`
+    for a bad magic, a short header, a zero field or a payload of the wrong
+    size."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    if blob[: len(MAGIC)] != MAGIC:
-        raise CsiFormatError(f"{path}: bad magic {blob[:len(MAGIC)]!r}, expected {MAGIC!r}")
-    header_end = len(MAGIC) + _HEADER.size
+    if blob[: len(magic)] != magic:
+        raise CsiFormatError(f"{path}: bad magic {blob[:len(magic)]!r}, expected {magic!r}")
+    header_end = len(magic) + header.size
     if len(blob) < header_end:
         raise CsiFormatError(f"{path}: truncated header ({len(blob)} bytes)")
-    n_t, n_r, n_p, n_s = _HEADER.unpack(blob[len(MAGIC) : header_end])
-    if 0 in (n_t, n_r, n_p, n_s):
-        raise CsiFormatError(
-            f"{path}: dimension field zero in header (n_t={n_t}, n_r={n_r}, n_p={n_p}, n_s={n_s})"
-        )
-    expected = 2 * n_t * n_r * n_p * n_s
+    dims = header.unpack(blob[len(magic) : header_end])
+    if 0 in dims:
+        fields = ", ".join(f"{name}={v}" for name, v in zip(names, dims))
+        raise CsiFormatError(f"{path}: dimension field zero in header ({fields})")
+    expected = np.dtype(dtype).itemsize * per_cell * math.prod(dims)
     actual = len(blob) - header_end
     if actual != expected:
-        raise CsiFormatError(
-            f"{path}: payload holds {actual} bytes, header implies {expected}"
-        )
-    data = (
-        np.frombuffer(blob, dtype=np.int8, offset=header_end)
-        .reshape(n_t * n_r, n_p, n_s, 2)
-        .copy()
+        raise CsiFormatError(f"{path}: payload holds {actual} bytes, header implies {expected}")
+    return dims, np.frombuffer(blob, dtype=dtype, offset=header_end)
+
+
+def load_recording(path: str | os.PathLike) -> CsiRecording:
+    (n_t, n_r, n_p, n_s), payload = read_container(
+        path, MAGIC, _HEADER, ("n_t", "n_r", "n_p", "n_s"), np.int8, per_cell=2
     )
+    data = payload.reshape(n_t * n_r, n_p, n_s, 2).copy()
     return CsiRecording(n_t=n_t, n_r=n_r, n_p=n_p, n_s=n_s, data=data)
 
 

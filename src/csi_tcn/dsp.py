@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 from scipy import signal as _signal
 
-from .csi_data import CsiFormatError, CsiRecording, amplitude
+from .csi_data import CsiRecording, amplitude, read_container
 
 __all__ = [
     "FilterSpec",
@@ -205,25 +205,8 @@ def save_sample(sample: PreprocessedSample, path: str | os.PathLike) -> None:
 
 
 def load_sample(path: str | os.PathLike, label: Optional[int] = None) -> PreprocessedSample:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[: len(SAMPLE_MAGIC)] != SAMPLE_MAGIC:
-        raise CsiFormatError(
-            f"{path}: bad magic {blob[:len(SAMPLE_MAGIC)]!r}, expected {SAMPLE_MAGIC!r}"
-        )
-    header_end = len(SAMPLE_MAGIC) + _SAMPLE_HEADER.size
-    if len(blob) < header_end:
-        raise CsiFormatError(f"{path}: truncated header ({len(blob)} bytes)")
-    pairs, n_p, n_s = _SAMPLE_HEADER.unpack(blob[len(SAMPLE_MAGIC) : header_end])
-    if 0 in (pairs, n_p, n_s):
-        raise CsiFormatError(f"{path}: dimension field zero in header")
-    expected = 8 * pairs * n_p * n_s
-    actual = len(blob) - header_end
-    if actual != expected:
-        raise CsiFormatError(f"{path}: payload holds {actual} bytes, header implies {expected}")
-    data = (
-        np.frombuffer(blob, dtype="<f8", offset=header_end)
-        .reshape(pairs, n_p, n_s)
-        .astype(np.float64)
+    (pairs, n_p, n_s), payload = read_container(
+        path, SAMPLE_MAGIC, _SAMPLE_HEADER, ("pairs", "n_p", "n_s"), "<f8"
     )
+    data = payload.reshape(pairs, n_p, n_s).astype(np.float64)
     return PreprocessedSample(data=data, label=label)

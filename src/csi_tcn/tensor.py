@@ -2,7 +2,8 @@
 
 Covers exactly the primitives the classifier needs: dilated causal 1-D
 convolution, affine maps, row softmax, fused causal attention, ReLU,
-elementwise arithmetic, axis reductions, inverted dropout, and cross-entropy.
+elementwise add and multiply, axis reductions, inverted dropout, and
+cross-entropy.
 Graphs are built eagerly; calling `backward()` on a scalar root accumulates
 gradients into every reachable tensor that requires them. Like PyTorch's
 default (`retain_graph=False`), backward frees the graph as it walks it: each
@@ -15,20 +16,21 @@ Conventions: time is the trailing axis for convolution inputs (C, T) and the
 second-to-last for attention inputs (T, F); matmul requires >= 2-D operands
 and broadcasts leading batch axes.
 
-Threading: `causal_conv1d` and `causal_attention` run their forward and
-backward passes over contiguous slices of the leading batch axis on a
-private pool with one worker per usable core, created on first use; with one
-core or one sample the same code runs inline. Each worker walks its slice in
-chunks of samples whose scratch fits `_CHUNK_BYTES`, reusing one set of
-chunk buffers per slice. The calling thread allocates every output and
-scratch buffer and each worker writes only into its own slice, so workers
-allocate nothing large. Scratch lives only for one forward or backward call:
-the convolution keeps no padded copy of its input, and attention keeps no
-weights, recomputing them per chunk in backward. Reductions across samples
-(the conv weight and bias gradients) run in the calling thread after the
-join. Every sample's float operations keep their order, so results are
-bitwise independent of the worker count and the chunk size. BLAS calls
-inside the workers are expected to be single-threaded; `train` pins them.
+Threading: `causal_conv1d` and `causal_attention` hand each forward and
+backward pass to `_over_chunks` as a body that works on one chunk of samples.
+The driver splits the leading batch axis into contiguous slices, one per
+usable core, and runs them on a private pool created on first use; with one
+core or one sample the same code runs inline. Each slice walks its samples
+in chunks whose scratch fits `_CHUNK_BYTES`, reusing one set of chunk
+buffers. The calling thread allocates every output and scratch buffer and
+each body writes only into its own chunk, so workers allocate nothing large.
+Scratch lives only for one forward or backward call: the convolution keeps
+no padded copy of its input, and attention keeps no weights, recomputing
+them per chunk in backward. Reductions across samples (the conv weight and
+bias gradients) run in the calling thread after the join. Every sample's
+float operations keep their order, so results are bitwise independent of
+the worker count and the chunk size. BLAS calls inside the workers are
+expected to be single-threaded; `train` pins them.
 
 Heap thresholds: because backward frees arrays in the middle of the pass,
 glibc's dynamic rule would trim the top of the heap several times per step
@@ -130,37 +132,6 @@ class Tensor:
     def backward(self) -> None:
         backward(self)
 
-    # Operator sugar used by the model and the tests.
-    def __add__(self, other):
-        return add(self, _wrap(other))
-
-    def __radd__(self, other):
-        return add(_wrap(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _wrap(other))
-
-    def __rmul__(self, other):
-        return mul(_wrap(other), self)
-
-    def __neg__(self):
-        return mul(self, _wrap(-1.0))
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            raise TypeError("tensor/tensor division is not supported")
-        return mul(self, _wrap(1.0 / float(other)))
-
-    def __matmul__(self, other):
-        return matmul(self, _wrap(other))
-
-    def __getitem__(self, idx):
-        return index(self, idx)
-
-
-def _wrap(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
 
 def _make(
     data: np.ndarray,
@@ -248,27 +219,31 @@ def _fan_out(fn: Callable[[int, int], None], n: int) -> None:
         future.result()
 
 
-def _scratch(n: int, *sample_shapes: tuple[int, ...]) -> dict[int, list[np.ndarray]]:
-    """Zeroed chunk buffers for each `_fan_out` slice of `range(n)`, keyed by
-    the slice's first sample.
+def _over_chunks(n: int, sample_shapes: Sequence[tuple[int, ...]], fn: Callable[..., None]) -> None:
+    """Run `fn(c0, c1, *buffers)` over consecutive chunks `(c0, c1)` of samples
+    that cover `range(n)`, each `_fan_out` slice on its own worker.
 
-    A slice gets one buffer per entry of `sample_shapes`, each with a leading
-    chunk axis of as many samples as fit `_CHUNK_BYTES` of all the buffers
-    together: at least one, and at most the slice's length. The caller
-    allocates them before fanning out, so workers allocate nothing large.
+    Every slice gets one zeroed float64 buffer per entry of `sample_shapes`,
+    with a leading chunk axis of as many samples as fit `_CHUNK_BYTES` of all
+    the buffers together: at least one, and at most the slice's length. They
+    are allocated here, in the calling thread, before any worker runs, so
+    workers allocate nothing large. `fn` gets them cut to the chunk's length;
+    a slice reuses its buffers for every chunk, so what `fn` leaves in them
+    carries over to the next chunk of the slice.
     """
     sample_bytes = 8 * sum(math.prod(shape) for shape in sample_shapes)
-    chunk = max(1, _CHUNK_BYTES // max(sample_bytes, 1))
-    return {
-        b0: [np.zeros((min(chunk, b1 - b0),) + shape) for shape in sample_shapes]
+    size = max(1, _CHUNK_BYTES // max(sample_bytes, 1))
+    buffers = {
+        b0: [np.zeros((min(size, b1 - b0),) + shape) for shape in sample_shapes]
         for b0, b1 in _slices(n)
     }
 
+    def run_slice(b0: int, b1: int) -> None:
+        for c0 in range(b0, b1, size):
+            c1 = min(c0 + size, b1)
+            fn(c0, c1, *(buf[: c1 - c0] for buf in buffers[b0]))
 
-def _chunks(b0: int, b1: int, size: int) -> Iterable[tuple[int, int]]:
-    """Consecutive `(c0, c1)` of at most `size` samples that cover `range(b0, b1)`."""
-    for c0 in range(b0, b1, size):
-        yield c0, min(c0 + size, b1)
+    _fan_out(run_slice, n)
 
 
 def _batched(a: np.ndarray, lead: tuple[int, ...]) -> np.ndarray:
@@ -451,22 +426,19 @@ def causal_conv1d(
     pad = (k - 1) * dilation
     windows = [slice(kk * dilation, kk * dilation + t_len) for kk in range(k)]
     data = np.zeros((n, c_out, t_len))
-    # Per slice: a chunk of the left-padded input (the pad stays zero) and
-    # one tap's product.
-    scratch = _scratch(n, (c_in, t_len + pad), (c_out, t_len))
 
-    def forward_slice(b0: int, b1: int) -> None:
-        xp, tap = scratch[b0]
-        for c0, c1 in _chunks(b0, b1, len(xp)):
-            m, out = c1 - c0, data[c0:c1]
-            xp[:m, :, pad:] = xd[c0:c1]
-            for kk in range(k):
-                np.matmul(w.data[:, :, kk], xp[:m, :, windows[kk]], out=tap[:m])
-                out += tap[:m]
-            if bias is not None:
-                out += bias.data[:, None]
+    # Chunk buffers: the left-padded input (the pad stays zero) and one tap's
+    # product.
+    def forward_chunk(c0: int, c1: int, xp: np.ndarray, tap: np.ndarray) -> None:
+        out = data[c0:c1]
+        xp[:, :, pad:] = xd[c0:c1]
+        for kk in range(k):
+            np.matmul(w.data[:, :, kk], xp[:, :, windows[kk]], out=tap)
+            out += tap
+        if bias is not None:
+            out += bias.data[:, None]
 
-    _fan_out(forward_slice, n)
+    _over_chunks(n, [(c_in, t_len + pad), (c_out, t_len)], forward_chunk)
 
     def backward_fn(g):
         g3 = g[None] if squeeze else g
@@ -476,25 +448,22 @@ def causal_conv1d(
             # Per-sample products of every tap; the sum over samples runs
             # after the join so its order never depends on the worker count.
             gw_taps = np.empty((k, n, c_out, c_in)) if need_w else None
-            scratch = _scratch(n, (c_in, t_len + pad), (c_in, t_len))
 
-            def backward_slice(b0: int, b1: int) -> None:
-                xp, tap = scratch[b0]
-                for c0, c1 in _chunks(b0, b1, len(xp)):
-                    m, gc = c1 - c0, g3[c0:c1]
+            def backward_chunk(c0: int, c1: int, xp: np.ndarray, tap: np.ndarray) -> None:
+                gc = g3[c0:c1]
+                if need_w:
+                    xp[:, :, pad:] = xd[c0:c1]
+                for kk in range(k):
+                    # Column j of tap kk's input gradient belongs to padded
+                    # time kk*d + j; the first `lag` columns fall in the pad.
+                    lag = pad - kk * dilation
+                    if need_x and lag < t_len:
+                        np.matmul(w.data[:, :, kk].T, gc, out=tap)
+                        gx[c0:c1, :, : t_len - lag] += tap[:, :, lag:]
                     if need_w:
-                        xp[:m, :, pad:] = xd[c0:c1]
-                    for kk in range(k):
-                        # Column j of tap kk's input gradient belongs to padded
-                        # time kk*d + j; the first `lag` columns fall in the pad.
-                        lag = pad - kk * dilation
-                        if need_x and lag < t_len:
-                            np.matmul(w.data[:, :, kk].T, gc, out=tap[:m])
-                            gx[c0:c1, :, : t_len - lag] += tap[:m, :, lag:]
-                        if need_w:
-                            np.matmul(gc, xp[:m, :, windows[kk]].swapaxes(1, 2), out=gw_taps[kk, c0:c1])
+                        np.matmul(gc, xp[:, :, windows[kk]].swapaxes(1, 2), out=gw_taps[kk, c0:c1])
 
-            _fan_out(backward_slice, n)
+            _over_chunks(n, [(c_in, t_len + pad), (c_in, t_len)], backward_chunk)
         if need_x:
             _accumulate(x, gx[0] if squeeze else gx)
         if need_w:
@@ -513,13 +482,21 @@ def causal_conv1d(
 # Attention pieces
 
 
-def softmax_rows(a: Tensor) -> Tensor:
-    """Softmax along the trailing axis; -inf entries get probability 0."""
-    row_max = np.max(a.data, axis=-1, keepdims=True)
+def _softmax_in_place(p: np.ndarray) -> None:
+    """Overwrite `p` with its softmax along the trailing axis; -inf entries
+    get probability 0."""
+    row_max = np.max(p, axis=-1, keepdims=True)
     if np.any(np.isneginf(row_max)):
         raise ValueError("softmax row is entirely -inf")
-    e = np.exp(a.data - row_max)
-    data = e / e.sum(axis=-1, keepdims=True)
+    p -= row_max
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+
+
+def softmax_rows(a: Tensor) -> Tensor:
+    """Softmax along the trailing axis; -inf entries get probability 0."""
+    data = a.data.copy()
+    _softmax_in_place(data)
 
     def backward_fn(g):
         dot = np.sum(g * data, axis=-1, keepdims=True)
@@ -566,23 +543,13 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, scale: float, mode: str = 
         np.matmul(qd[c0:c1], np.swapaxes(kd[c0:c1], -1, -2), out=p)
         p *= scale
         np.copyto(p, -np.inf if mode == "neg_inf" else 0.0, where=above)
-        row_max = np.max(p, axis=-1, keepdims=True)
-        if np.any(np.isneginf(row_max)):
-            raise ValueError("softmax row is entirely -inf")
-        p -= row_max
-        np.exp(p, out=p)
-        p /= p.sum(axis=-1, keepdims=True)
+        _softmax_in_place(p)
 
-    scratch = _scratch(n, block)
+    def forward_chunk(c0: int, c1: int, p: np.ndarray) -> None:
+        weights(c0, c1, p)
+        np.matmul(p, vd[c0:c1], out=data[c0:c1])
 
-    def forward_slice(b0: int, b1: int) -> None:
-        (p_chunk,) = scratch[b0]
-        for c0, c1 in _chunks(b0, b1, len(p_chunk)):
-            p = p_chunk[: c1 - c0]
-            weights(c0, c1, p)
-            np.matmul(p, vd[c0:c1], out=data[c0:c1])
-
-    _fan_out(forward_slice, n)
+    _over_chunks(n, [block], forward_chunk)
 
     def backward_fn(g):
         g3 = _batched(g, lead)
@@ -591,31 +558,25 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, scale: float, mode: str = 
         gv = np.empty(vd.shape) if need_v else None
         gq = np.empty(qd.shape) if need_q else None
         gk = np.empty(kd.shape[:-2] + (kd.shape[-1], t_len)) if need_k else None
-        scratch = _scratch(n, block, block, block)
 
-        def backward_slice(b0: int, b1: int) -> None:
-            p_chunk, s_chunk, sp_chunk = scratch[b0]
-            for c0, c1 in _chunks(b0, b1, len(p_chunk)):
-                m = c1 - c0
-                p = p_chunk[:m]
-                weights(c0, c1, p)
-                if need_v:
-                    np.matmul(np.swapaxes(p, -1, -2), g3[c0:c1], out=gv[c0:c1])
-                if not need_s:
-                    continue
-                s, s_p = s_chunk[:m], sp_chunk[:m]
-                np.matmul(g3[c0:c1], np.swapaxes(vd[c0:c1], -1, -2), out=s)
-                np.multiply(s, p, out=s_p)
-                s -= s_p.sum(axis=-1, keepdims=True)
-                s *= p
-                np.copyto(s, 0.0, where=above)
-                s *= scale
-                if need_q:
-                    np.matmul(s, kd[c0:c1], out=gq[c0:c1])
-                if need_k:
-                    np.matmul(np.swapaxes(qd[c0:c1], -1, -2), s, out=gk[c0:c1])
+        def backward_chunk(c0: int, c1: int, p: np.ndarray, s: np.ndarray, s_p: np.ndarray) -> None:
+            weights(c0, c1, p)
+            if need_v:
+                np.matmul(np.swapaxes(p, -1, -2), g3[c0:c1], out=gv[c0:c1])
+            if not need_s:
+                return
+            np.matmul(g3[c0:c1], np.swapaxes(vd[c0:c1], -1, -2), out=s)
+            np.multiply(s, p, out=s_p)
+            s -= s_p.sum(axis=-1, keepdims=True)
+            s *= p
+            np.copyto(s, 0.0, where=above)
+            s *= scale
+            if need_q:
+                np.matmul(s, kd[c0:c1], out=gq[c0:c1])
+            if need_k:
+                np.matmul(np.swapaxes(qd[c0:c1], -1, -2), s, out=gk[c0:c1])
 
-        _fan_out(backward_slice, n)
+        _over_chunks(n, [block, block, block], backward_chunk)
         if need_v:
             _accumulate(v, _unbroadcast(_unbatched(gv, lead), v.shape))
         if need_q:

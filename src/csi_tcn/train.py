@@ -201,7 +201,6 @@ def lr_at_epoch(cfg: TrainConfig, epoch: int) -> float:
 
 @dataclass
 class Metrics:
-    n_classes: int
     train_accuracy: list[float] = field(default_factory=list)
     train_loss: list[float] = field(default_factory=list)
     val_accuracy: list[float] = field(default_factory=list)
@@ -216,18 +215,23 @@ class Metrics:
         return self.val_accuracy[-1]
 
 
-def _stack(dataset: Sequence[PreprocessedSample]) -> tuple[np.ndarray, np.ndarray]:
+def _labels(dataset: Sequence[PreprocessedSample]) -> np.ndarray:
+    """The labels of a non-empty, fully labelled dataset, without its data."""
     if not dataset:
         raise ValueError("dataset is empty")
+    labels = [s.label for s in dataset]
+    if None in labels:
+        raise ValueError("all samples must be labelled")
+    return np.array(labels, dtype=np.int64)
+
+
+def _stack(dataset: Sequence[PreprocessedSample]) -> tuple[np.ndarray, np.ndarray]:
+    labels = _labels(dataset)
     shape = dataset[0].data.shape
     for s in dataset:
         if s.data.shape != shape:
             raise ValueError(f"inconsistent sample shapes: {s.data.shape} vs {shape}")
-        if s.label is None:
-            raise ValueError("all samples must be labelled")
-    data = np.stack([s.data for s in dataset])
-    labels = np.array([s.label for s in dataset], dtype=np.int64)
-    return data, labels
+    return np.stack([s.data for s in dataset]), labels
 
 
 def _eval_arrays(
@@ -291,7 +295,7 @@ def train(
     state = AdamWState.for_params(named)
     shuffle_rng = named_rng(train_cfg.seed, "shuffle")
     dropout_rng = named_rng(train_cfg.seed, "dropout")
-    metrics = Metrics(n_classes=model_cfg.n_classes)
+    metrics = Metrics()
 
     n = len(labels)
     with _single_threaded_blas():
@@ -381,11 +385,9 @@ def holdout_split(
     """(training split, validation split): fold 0 of the stratified
     `train_cfg.k_folds` plan is held out. Raises, like `kfold_evaluate`, when
     the training split misses a class."""
-    labels = [s.label for s in dataset]
-    if None in labels:
-        raise ValueError("all samples must be labelled")
+    labels = _labels(dataset)
     plan = kfold_plan(labels, k=train_cfg.k_folds, seed=train_cfg.seed)
-    train_idx = _fold_train_indices(plan, np.asarray(labels), 0)
+    train_idx = _fold_train_indices(plan, labels, 0)
     return [dataset[i] for i in train_idx], [dataset[i] for i in plan.folds[0]]
 
 
@@ -415,7 +417,7 @@ def kfold_evaluate(
 ) -> tuple[list[Metrics], float]:
     """Train k models, each validated on its held-out fold; returns per-fold
     metrics and the arithmetic mean of the final validation accuracies."""
-    _, labels = _stack(dataset)
+    labels = _labels(dataset)
     per_fold: list[Metrics] = []
     for train_idx, val_idx in kfold_splits(labels, k, train_cfg.seed):
         train_set = [dataset[i] for i in train_idx]

@@ -40,7 +40,7 @@ def _swap_last(t: Tensor) -> Tensor:
 
 
 def reference_attention(q: Tensor, k: Tensor, v: Tensor, scale: float, mode: str = "neg_inf") -> Tensor:
-    scores = T.matmul(q, _swap_last(k)) * scale
+    scores = T.mul(T.matmul(q, _swap_last(k)), Tensor(scale))
     weights = T.softmax_rows(lower_triangular_mask(scores, mode))
     return T.matmul(weights, v)
 

@@ -14,7 +14,6 @@ from csi_tcn.augment import (
     _dropout,
     _mix,
     augmented,
-    dropout_augment,
     expand_dataset,
     mix_samples,
 )
@@ -49,26 +48,23 @@ def tiny_dataset(per_class: int, classes: int = 3, width: int = 4, seed: int = 0
 
 class TestDropout:
     def test_lambda_zero_is_identity(self):
-        s = sample_of([1.0, -2.0, 3.0])
-        out = dropout_augment(s, named_rng(0, "t"), lam=0.0)
-        assert np.array_equal(out.data, s.data)
-        assert out.label == s.label
+        x = sample_of([1.0, -2.0, 3.0]).data
+        out = _dropout(x, named_rng(0, "t"), 0.07, lam=0.0)
+        assert np.array_equal(out, x)
 
     def test_lambda_one_zeroes_everything(self):
-        s = sample_of([1.0, -2.0, 3.0])
-        out = dropout_augment(s, named_rng(0, "t"), lam=1.0)
-        assert np.array_equal(out.data, np.zeros_like(s.data))
+        x = sample_of([1.0, -2.0, 3.0]).data
+        out = _dropout(x, named_rng(0, "t"), 0.07, lam=1.0)
+        assert np.array_equal(out, np.zeros_like(x))
 
     def test_zeroed_fraction_concentrates(self):
-        s = PreprocessedSample(data=np.ones((100, 100, 100)), label=1)
-        out = dropout_augment(s, named_rng(3, "t"), lam=0.05)
-        frac = np.mean(out.data == 0.0)
+        out = _dropout(np.ones((100, 100, 100)), named_rng(3, "t"), 0.07, lam=0.05)
+        frac = np.mean(out == 0.0)
         assert abs(frac - 0.05) <= 0.002
 
     def test_drawn_lambda_within_bound(self):
-        s = sample_of([1.0] * 64)
-        out = dropout_augment(s, named_rng(5, "t"), lambda_max=0.07)
-        frac = np.mean(out.data == 0.0)
+        out = _dropout(sample_of([1.0] * 64).data, named_rng(5, "t"), 0.07)
+        frac = np.mean(out == 0.0)
         assert frac <= 0.5  # loose: lambda < 0.07 means few zeros
 
 

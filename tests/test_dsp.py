@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -266,4 +267,15 @@ class TestSampleContainer:
         save_sample(sample, path)
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(CsiFormatError, match="56.*64"):
+            load_sample(path)
+
+    def test_zero_dimension_field_and_short_header(self, tmp_path):
+        from csi_tcn.csi_data import CsiFormatError
+
+        path = tmp_path / "z.csp"
+        path.write_bytes(b"CSP1" + struct.pack("<3H", 6, 0, 30))
+        with pytest.raises(CsiFormatError, match=r"z\.csp: dimension field zero in header \(pairs=6, n_p=0, n_s=30\)"):
+            load_sample(path)
+        path.write_bytes(b"CSP1\x06\x00")
+        with pytest.raises(CsiFormatError, match=r"z\.csp: truncated header \(6 bytes\)"):
             load_sample(path)

@@ -349,6 +349,64 @@ def _assert_same_bits(ours, theirs):
 CHUNK_BUDGETS = [1, T._CHUNK_BYTES, 1 << 30]
 
 
+class TestOverChunks:
+    # 192 KiB of buffers per sample, so the default budget takes chunks of 2.
+    SHAPES = [(128, 128), (64, 128)]
+
+    @pytest.mark.parametrize("budget", CHUNK_BUDGETS)
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 7])
+    def test_chunks_cover_samples_with_buffers_made_first(self, monkeypatch, budget, workers, n):
+        monkeypatch.setattr(T, "_CHUNK_BYTES", budget)
+        monkeypatch.setattr(T, "_WORKERS", workers)
+        events = []
+
+        class RecordingNumpy:
+            """numpy as `tensor` sees it, with every `zeros` call recorded."""
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def zeros(self, *args, **kwargs):
+                events.append(("alloc", threading.current_thread()))
+                return np.zeros(*args, **kwargs)
+
+        def body(c0, c1, *buffers):
+            events.append(("run", (c0, c1)))
+            assert len(buffers) == len(self.SHAPES)
+            for buf, shape in zip(buffers, self.SHAPES):
+                assert buf.shape == (c1 - c0,) + shape
+
+        monkeypatch.setattr(T, "np", RecordingNumpy())
+        T._over_chunks(n, self.SHAPES, body)
+
+        kinds = [kind for kind, _ in events]
+        first_run = kinds.index("run")
+        assert set(kinds[:first_run]) == {"alloc"} and "alloc" not in kinds[first_run:]
+        assert first_run == len(T._slices(n)) * len(self.SHAPES)
+        assert all(thread is threading.current_thread() for _, thread in events[:first_run])
+        chunks = sorted(c for kind, c in events if kind == "run")
+        visited = [i for c0, c1 in chunks for i in range(c0, c1)]
+        assert visited == list(range(n))
+        if budget == CHUNK_BUDGETS[1]:  # the default
+            assert max(c1 - c0 for c0, c1 in chunks) == min(2, n)
+
+    def test_buffers_start_zeroed_and_persist_within_a_slice(self, monkeypatch):
+        monkeypatch.setattr(T, "_CHUNK_BYTES", 1)
+        monkeypatch.setattr(T, "_WORKERS", 2)
+        seen = {}
+
+        def body(c0, c1, buf):
+            seen[c0] = buf.copy()
+            buf += 1.0
+
+        T._over_chunks(6, [(3,)], body)
+        # Slices 0:3 and 3:6, one sample per chunk: the k-th chunk of a slice
+        # finds the k increments its predecessors made.
+        for c0, arr in seen.items():
+            assert np.array_equal(arr, np.full((1, 3), float(c0 % 3)))
+
+
 class TestChunkedKernels:
     """The chunked kernels against the parent whole-slice kernels, bit for bit."""
 
@@ -539,7 +597,7 @@ class TestBackward:
     def test_non_scalar_root_rejected(self):
         x = Tensor(np.ones(3), requires_grad=True)
         with pytest.raises(ValueError, match="scalar"):
-            (x * 2.0).backward()
+            T.mul(x, Tensor(2.0)).backward()
 
     def test_fan_out_accumulates(self):
         x = Tensor([2.0], requires_grad=True)

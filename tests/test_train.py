@@ -183,6 +183,21 @@ class TestKFold:
         assert sorted(s.label for s in train_set) == [0, 0, 1, 1]
         assert sorted(s.label for s in val_set) == [0, 0, 1, 1]
 
+    @pytest.mark.parametrize("split", ["holdout", "kfold"])
+    def test_empty_or_unlabelled_dataset_rejected(self, split):
+        def run(dataset):
+            if split == "holdout":
+                holdout_split(dataset, TrainConfig(k_folds=2))
+            else:
+                kfold_evaluate(dataset, tiny_model(), TrainConfig(epochs=0), k=2)
+
+        with pytest.raises(ValueError, match="^dataset is empty$"):
+            run([])
+        dataset = [PreprocessedSample(data=np.zeros((1, 2, 1)), label=c) for c in (0, 1, 0, 1)]
+        dataset[2] = PreprocessedSample(data=np.zeros((1, 2, 1)), label=None)
+        with pytest.raises(ValueError, match="^all samples must be labelled$"):
+            run(dataset)
+
 
 class TestTraining:
     def test_epochs_zero_keeps_initialization(self, small_dataset):
@@ -289,6 +304,19 @@ class TestTraining:
 
 
 class TestKFoldEvaluate:
+    def test_labels_read_without_stacking_the_whole_dataset(self, small_dataset, monkeypatch):
+        stacked = []
+        real_stack = train_mod._stack
+
+        def recording_stack(dataset):
+            stacked.append(len(dataset))
+            return real_stack(dataset)
+
+        monkeypatch.setattr(train_mod, "_stack", recording_stack)
+        kfold_evaluate(small_dataset, tiny_model(), TrainConfig(batch_size=4, epochs=1, seed=2), k=3)
+        # Each fold stacks its own training and validation sets, never all samples.
+        assert len(stacked) == 6 and len(small_dataset) not in stacked
+
     def test_mean_is_arithmetic_mean(self, small_dataset):
         cfg = tiny_model()
         tc = TrainConfig(batch_size=4, epochs=1, seed=2)
