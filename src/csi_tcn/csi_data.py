@@ -29,6 +29,7 @@ __all__ = [
     "SyntheticSpec",
     "check_label",
     "read_container",
+    "write_container",
     "load_recording",
     "save_recording",
     "gate_and_trim",
@@ -57,6 +58,7 @@ N_CLASSES = len(LABEL_NAMES)
 
 MAGIC = b"CSI1"
 _HEADER = struct.Struct("<4H")  # n_t, n_r, n_p, n_s, little-endian u16
+_FIELDS = ("n_t", "n_r", "n_p", "n_s")
 
 
 class CsiFormatError(ValueError):
@@ -104,13 +106,32 @@ class CsiRecording:
         return tx * self.n_r + rx
 
 
+def write_container(
+    path: str | os.PathLike,
+    magic: bytes,
+    header: struct.Struct,
+    names: Sequence[str],
+    dims: Sequence[int],
+    payload: np.ndarray,
+) -> None:
+    """Write a container file: `magic`, `dims` packed as the u16 fields of
+    `header` (called `names` in errors), then the bytes of `payload` in C
+    order. Every field is checked before the file is opened, so a value
+    outside [1, 65535] raises ValueError naming its field and leaves no file
+    behind."""
+    for name, v in zip(names, dims):
+        if not 0 < v <= 0xFFFF:
+            raise ValueError(f"{path}: {name} = {v} does not fit the u16 header field")
+    with open(path, "wb") as fh:
+        fh.write(magic)
+        fh.write(header.pack(*dims))
+        fh.write(np.ascontiguousarray(payload))
+
+
 def save_recording(rec: CsiRecording, path: str | os.PathLike) -> None:
     """Write the bit-exact container: magic, u16 dims, interleaved i8 pairs."""
-    payload = np.ascontiguousarray(rec.data).tobytes()
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(_HEADER.pack(rec.n_t, rec.n_r, rec.n_p, rec.n_s))
-        fh.write(payload)
+    dims = (rec.n_t, rec.n_r, rec.n_p, rec.n_s)
+    write_container(path, MAGIC, _HEADER, _FIELDS, dims, rec.data)
 
 
 def read_container(
@@ -146,9 +167,7 @@ def read_container(
 
 
 def load_recording(path: str | os.PathLike) -> CsiRecording:
-    (n_t, n_r, n_p, n_s), payload = read_container(
-        path, MAGIC, _HEADER, ("n_t", "n_r", "n_p", "n_s"), np.int8, per_cell=2
-    )
+    (n_t, n_r, n_p, n_s), payload = read_container(path, MAGIC, _HEADER, _FIELDS, np.int8, per_cell=2)
     data = payload.reshape(n_t * n_r, n_p, n_s, 2).copy()
     return CsiRecording(n_t=n_t, n_r=n_r, n_p=n_p, n_s=n_s, data=data)
 

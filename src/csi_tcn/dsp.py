@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 from scipy import signal as _signal
 
-from .csi_data import CsiRecording, amplitude, read_container
+from .csi_data import CsiRecording, amplitude, read_container, write_container
 
 __all__ = [
     "FilterSpec",
@@ -33,6 +33,7 @@ __all__ = [
 
 SAMPLE_MAGIC = b"CSP1"
 _SAMPLE_HEADER = struct.Struct("<3H")  # pairs, n_p', n_s
+_SAMPLE_FIELDS = ("pairs", "n_p", "n_s")
 
 
 @dataclass
@@ -194,19 +195,11 @@ def preprocess(
 def save_sample(sample: PreprocessedSample, path: str | os.PathLike) -> None:
     """Bit-exact container: magic, u16 dims, float64 little-endian payload in
     pair-major / packet / subcarrier order. The label lives in the manifest."""
-    pairs, n_p, n_s = sample.data.shape
-    for name, v in (("pairs", pairs), ("packets", n_p), ("subcarriers", n_s)):
-        if not 0 < v <= 0xFFFF:
-            raise ValueError(f"{name} = {v} does not fit the u16 header field")
-    with open(path, "wb") as fh:
-        fh.write(SAMPLE_MAGIC)
-        fh.write(_SAMPLE_HEADER.pack(pairs, n_p, n_s))
-        fh.write(np.ascontiguousarray(sample.data, dtype="<f8").tobytes())
+    payload = sample.data.astype("<f8", copy=False)
+    write_container(path, SAMPLE_MAGIC, _SAMPLE_HEADER, _SAMPLE_FIELDS, payload.shape, payload)
 
 
 def load_sample(path: str | os.PathLike, label: Optional[int] = None) -> PreprocessedSample:
-    (pairs, n_p, n_s), payload = read_container(
-        path, SAMPLE_MAGIC, _SAMPLE_HEADER, ("pairs", "n_p", "n_s"), "<f8"
-    )
+    (pairs, n_p, n_s), payload = read_container(path, SAMPLE_MAGIC, _SAMPLE_HEADER, _SAMPLE_FIELDS, "<f8")
     data = payload.reshape(pairs, n_p, n_s).astype(np.float64)
     return PreprocessedSample(data=data, label=label)

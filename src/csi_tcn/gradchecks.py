@@ -124,6 +124,13 @@ def run_battery(include_model: bool = True) -> list[BatteryRow]:
         lambda x, w, bb: _weighted_sum(T.causal_conv1d(x, w, bb, dilation=1), c_cb),
         [cxb, cw, cb],
     )
+    # only the last 4 of 7 outputs, whose taps still reach 2 steps into the pad
+    c_cs = _coeffs(rng, (3, 3, 4))
+    check(
+        "causal_conv1d_steps",
+        lambda x, w, bb: _weighted_sum(T.causal_conv1d(x, w, bb, dilation=2, steps=4), c_cs),
+        [cx, cw, cb],
+    )
 
     # attention pieces
     sx = Tensor(rng.standard_normal((3, 5)), requires_grad=True)
@@ -140,6 +147,17 @@ def run_battery(include_model: bool = True) -> list[BatteryRow]:
             f"causal_attention_{mode}",
             lambda q, k, v, mode=mode: _weighted_sum(T.causal_attention(q, k, v, 3.0**-0.5, mode), c_att),
             [aq, ak, av],
+        )
+    # offset form: 2 query rows aligned to the end of 5 key and value steps
+    oq = Tensor(rng.standard_normal((2, 2, 3)), requires_grad=True)
+    ok = Tensor(rng.standard_normal((2, 5, 3)), requires_grad=True)
+    ov = Tensor(rng.standard_normal((2, 5, 4)), requires_grad=True)
+    c_off = _coeffs(rng, (2, 2, 4))
+    for mode in ("neg_inf", "zero_literal"):
+        check(
+            f"causal_attention_offset_{mode}",
+            lambda q, k, v, mode=mode: _weighted_sum(T.causal_attention(q, k, v, 3.0**-0.5, mode), c_off),
+            [oq, ok, ov],
         )
 
     # dropout with a re-seeded mask so every call sees the same pattern

@@ -218,24 +218,33 @@ def init_model(cfg: ModelConfig, rng: np.random.Generator) -> ModelParams:
 
 
 def attention_forward(
-    h: Tensor, params: AttentionParams, mask_mode: MaskMode = MaskMode.NEG_INF
+    h: Tensor,
+    params: AttentionParams,
+    mask_mode: MaskMode = MaskMode.NEG_INF,
+    rows: Optional[int] = None,
 ) -> Tensor:
     """Masked scaled dot-product attention gating the input elementwise.
 
-    h: (..., T, F). Queries, keys and values are linear maps of h; the fused
-    `tensor.causal_attention` primitive scales the scores by 1/sqrt(d_k),
-    suppresses future positions with the lower-triangular mask, and returns
-    the softmax-weighted value rows, building the T x T weights a chunk of
-    samples at a time and keeping none of them for backward. The attended
-    rows then gate h entrywise, so the output keeps shape (..., T, F).
+    h: (..., T, F). Keys and values are linear maps of every step of h;
+    queries are linear maps of its last `rows` steps (all T by default). The
+    fused `tensor.causal_attention` primitive scales the scores by
+    1/sqrt(d_k), suppresses future positions with the causal mask, and
+    returns the softmax-weighted value rows, building the rows x T weights a
+    chunk of samples at a time and keeping none of them for backward. The
+    attended rows then gate the same last rows of h entrywise, so the output
+    is (..., rows, F).
     """
-    q = T.linear(h, params.w_q)
+    t_len = h.shape[-2]
+    if rows is None:
+        rows = t_len
+    h_q = h if rows == t_len else T.index(h, (Ellipsis, slice(t_len - rows, None), slice(None)))
+    q = T.linear(h_q, params.w_q)
     k = T.linear(h, params.w_k)
     v = T.linear(h, params.w_v)
     attended = T.causal_attention(q, k, v, 1.0 / math.sqrt(params.d_k), mask_mode.value)
-    if attended.shape != h.shape:
-        raise ValueError(f"attended shape {attended.shape} does not match input {h.shape}")
-    return T.mul(h, attended)
+    if attended.shape != h_q.shape:
+        raise ValueError(f"attended shape {attended.shape} does not match input {h_q.shape}")
+    return T.mul(h_q, attended)
 
 
 def tcn_block_forward(
@@ -246,14 +255,26 @@ def tcn_block_forward(
     training: bool = False,
     rng: Optional[np.random.Generator] = None,
     residual: bool = True,
+    steps: Optional[int] = None,
+    t_full: Optional[int] = None,
 ) -> Tensor:
     """conv -> ReLU -> dropout, plus the residual path (identity, or the 1x1
-    projection when channel counts differ)."""
-    y = T.causal_conv1d(x, params.w, params.b, dilation)
+    projection when channel counts differ).
+
+    With `steps` the block computes only the last `steps` output steps.
+    `t_full` is the length of the full pass this block is part of, so that
+    dropout draws its mask at that length (see `tensor.dropout_layer`).
+    """
+    t_len = x.shape[-1]
+    if steps is None:
+        steps = t_len
+    y = T.causal_conv1d(x, params.w, params.b, dilation, steps)
     y = T.relu(y)
-    y = T.dropout_layer(y, dropout, training, rng)
+    y = T.dropout_layer(y, dropout, training, rng, t_full)
     if residual:
         c_out, c_in = params.w.shape[0], params.w.shape[1]
+        if steps < t_len:
+            x = T.index(x, (Ellipsis, slice(t_len - steps, None)))
         if params.proj is not None:
             y = T.add(y, T.matmul(params.proj, x))
         elif c_in == c_out:
@@ -263,6 +284,31 @@ def tcn_block_forward(
                 f"residual needs a projection when channels change ({c_in} -> {c_out})"
             )
     return y
+
+
+def _stage_steps(cfg: ModelConfig, t_len: int) -> tuple[int, dict[str, int]]:
+    """How many trailing time steps each stage must compute for the head.
+
+    Walks backwards from the head, which reads one step of the last stage. A
+    conv block that must output n steps reads n + (k-1)*d steps of its input
+    (at most the t_len there are). An attention site reads every step of its
+    input as keys and values, but only its n output rows as queries. Returns
+    the steps read of the stack's input, and the output steps of each stage
+    keyed by its activation name.
+    """
+    placement = cfg.attention_placement
+    out: dict[str, int] = {}
+    n = 1
+    if placement is AttentionPlacement.POST_TCN:
+        out["attention_post"], n = n, t_len
+    for m, dilation in reversed(list(enumerate(_dilations(cfg)))):
+        out[f"block{m}"] = n
+        n = min(t_len, n + (cfg.kernel - 1) * dilation)
+        if placement is AttentionPlacement.EVERY_LAYER:
+            out[f"attention_layer{m}"], n = n, t_len
+    if placement is AttentionPlacement.PRE_TCN_ONLY:
+        out["attention_pre"], n = n, t_len
+    return n, out
 
 
 def model_forward(
@@ -276,8 +322,20 @@ def model_forward(
     """Class distribution for one sample (P, T, F) or a batch (B, P, T, F).
 
     Every pair runs through shared weights; per-pair distributions are then
-    averaged. With `return_activations` a dict of named intermediate tensors
-    is returned alongside the output (used by the causality probes).
+    averaged. With `return_activations` a dict of named full-length
+    intermediate tensors is returned alongside the output (used by the
+    causality probes).
+
+    Receptive-field window: the head reads only the last conv-stack step, so
+    without `return_activations` each stage computes only the trailing steps
+    that the stages after it read (`_stage_steps`). With `pre_tcn_only` or
+    `none` attention the stack's input is its last W = min(T,
+    `receptive_field(cfg)`) steps; the attention sites take every step as
+    keys and values but only the rows read as queries (W rows for
+    `pre_tcn_only`, one for `post_tcn`); and each conv block outputs only the
+    steps the next stage reads. Dropout still draws each block's mask at the
+    full (N, C, T) shape, so the rng stream and the dropped units are the
+    full pass's, and the output matches it up to float rounding.
     """
     if not isinstance(x, Tensor):
         x = Tensor(np.asarray(x, dtype=np.float64))
@@ -290,23 +348,33 @@ def model_forward(
     if feats != cfg.in_features:
         raise ValueError(f"input feature width {feats} != configured {cfg.in_features}")
 
+    first, steps = _stage_steps(cfg, t_len)
+    if return_activations:  # the probes see every step
+        first, steps = t_len, dict.fromkeys(steps, t_len)
     acts: dict[str, Tensor] = {}
     h = T.reshape(x, (batch * pairs, t_len, feats))
+    if first < t_len:
+        h = T.index(h, (slice(None), slice(t_len - first, None), slice(None)))
     if cfg.attention_placement is AttentionPlacement.PRE_TCN_ONLY:
-        h = attention_forward(h, params.attention["pre"], cfg.mask_mode)
+        h = attention_forward(h, params.attention["pre"], cfg.mask_mode, steps["attention_pre"])
         acts["attention_pre"] = h
     z = T.transpose(h, (0, 2, 1))  # (N, C, T)
     for m, (block, dilation) in enumerate(zip(params.blocks, _dilations(cfg))):
         if cfg.attention_placement is AttentionPlacement.EVERY_LAYER:
+            name = f"attention_layer{m}"
             ht = attention_forward(
-                T.transpose(z, (0, 2, 1)), params.attention[f"layer{m}"], cfg.mask_mode
+                T.transpose(z, (0, 2, 1)), params.attention[f"layer{m}"], cfg.mask_mode, steps[name]
             )
-            acts[f"attention_layer{m}"] = ht
+            acts[name] = ht
             z = T.transpose(ht, (0, 2, 1))
-        z = tcn_block_forward(z, block, dilation, cfg.dropout, training, rng, cfg.residual)
+        z = tcn_block_forward(
+            z, block, dilation, cfg.dropout, training, rng, cfg.residual, steps[f"block{m}"], t_len
+        )
         acts[f"block{m}"] = z
     if cfg.attention_placement is AttentionPlacement.POST_TCN:
-        ht = attention_forward(T.transpose(z, (0, 2, 1)), params.attention["post"], cfg.mask_mode)
+        ht = attention_forward(
+            T.transpose(z, (0, 2, 1)), params.attention["post"], cfg.mask_mode, steps["attention_post"]
+        )
         acts["attention_post"] = ht
         z = T.transpose(ht, (0, 2, 1))
 

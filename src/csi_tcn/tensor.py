@@ -1,9 +1,10 @@
 """Dense float64 arrays with recorded operations and reverse-mode gradients.
 
 Covers exactly the primitives the classifier needs: dilated causal 1-D
-convolution, affine maps, row softmax, fused causal attention, ReLU,
-elementwise add and multiply, axis reductions, inverted dropout, and
-cross-entropy.
+convolution (optionally only its last output steps), affine maps, row
+softmax, fused causal attention over a W x T score block (W query rows
+aligned to the end of T key steps), ReLU, elementwise add and multiply, axis
+reductions, inverted dropout, and cross-entropy.
 Graphs are built eagerly; calling `backward()` on a scalar root accumulates
 gradients into every reachable tensor that requires them. Like PyTorch's
 default (`retain_graph=False`), backward frees the graph as it walks it: each
@@ -27,10 +28,11 @@ each body writes only into its own chunk, so workers allocate nothing large.
 Scratch lives only for one forward or backward call: the convolution keeps
 no padded copy of its input, and attention keeps no weights, recomputing
 them per chunk in backward. Reductions across samples (the conv weight and
-bias gradients) run in the calling thread after the join. Every sample's
-float operations keep their order, so results are bitwise independent of
-the worker count and the chunk size. BLAS calls inside the workers are
-expected to be single-threaded; `train` pins them.
+bias gradients) run in the calling thread after the join; the weight
+gradient is formed one tap at a time, so only one tap's per-sample products
+exist at once. Every sample's float operations keep their order, so results
+are bitwise independent of the worker count and the chunk size. BLAS calls
+inside the workers are expected to be single-threaded; `train` pins them.
 
 Heap thresholds: because backward frees arrays in the middle of the pass,
 glibc's dynamic rule would trim the top of the heap several times per step
@@ -398,15 +400,18 @@ def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
 
 
 def causal_conv1d(
-    x: Tensor, w: Tensor, bias: Optional[Tensor] = None, dilation: int = 1
+    x: Tensor, w: Tensor, bias: Optional[Tensor] = None, dilation: int = 1, steps: Optional[int] = None
 ) -> Tensor:
     """Dilated causal convolution along the trailing time axis.
 
     x: (C_in, T) or (N, C_in, T); w: (C_out, C_in, k); bias: (C_out,).
-    The input is left-padded with (k-1)*dilation zeros, so the output keeps
-    length T and y[..., t] = bias + sum_{c,kk} w[:, c, kk] * x_pad[c, t + kk*d],
+    The input is left-padded with (k-1)*dilation zeros and
+    y[..., t] = bias + sum_{c,kk} w[:, c, kk] * x_pad[c, t + kk*d],
     i.e. tap kk = k-1 reads the current sample and earlier taps reach back in
-    strides of `dilation`.
+    strides of `dilation`. The output keeps length T, or with `steps` holds
+    only the last `steps` of those T outputs: they read only the last
+    steps + (k-1)*d inputs, and the zero pad only where that reaches back
+    past the first input.
     """
     if dilation < 1:
         raise ValueError(f"dilation must be >= 1, got {dilation}")
@@ -422,10 +427,18 @@ def causal_conv1d(
         raise ValueError(f"kernel expects {c_in_w} input channels, input has {c_in}")
     if bias is not None and bias.shape != (c_out,):
         raise ValueError(f"bias shape {bias.shape} != ({c_out},)")
+    if steps is None:
+        steps = t_len
+    if not 0 <= steps <= t_len:
+        raise ValueError(f"steps {steps} outside [0, {t_len}]")
 
-    pad = (k - 1) * dilation
-    windows = [slice(kk * dilation, kk * dilation + t_len) for kk in range(k)]
-    data = np.zeros((n, c_out, t_len))
+    reach = (k - 1) * dilation
+    # Zeros the kept outputs read before the first input, and the padded
+    # index that tap 0 of the first kept output reads.
+    pad = max(0, reach - (t_len - steps))
+    start = t_len - steps + pad - reach
+    windows = [slice(start + kk * dilation, start + kk * dilation + steps) for kk in range(k)]
+    data = np.zeros((n, c_out, steps))
 
     # Chunk buffers: the left-padded input (the pad stays zero) and one tap's
     # product.
@@ -438,38 +451,42 @@ def causal_conv1d(
         if bias is not None:
             out += bias.data[:, None]
 
-    _over_chunks(n, [(c_in, t_len + pad), (c_out, t_len)], forward_chunk)
+    _over_chunks(n, [(c_in, t_len + pad), (c_out, steps)], forward_chunk)
 
     def backward_fn(g):
         g3 = g[None] if squeeze else g
-        need_x, need_w = x.requires_grad, w.requires_grad
-        if need_x or need_w:
-            gx = np.zeros((n, c_in, t_len)) if need_x else None
-            # Per-sample products of every tap; the sum over samples runs
-            # after the join so its order never depends on the worker count.
-            gw_taps = np.empty((k, n, c_out, c_in)) if need_w else None
+        if x.requires_grad:
+            gx = np.zeros((n, c_in, t_len))
 
-            def backward_chunk(c0: int, c1: int, xp: np.ndarray, tap: np.ndarray) -> None:
-                gc = g3[c0:c1]
-                if need_w:
-                    xp[:, :, pad:] = xd[c0:c1]
+            def backward_chunk(c0: int, c1: int, tap: np.ndarray) -> None:
                 for kk in range(k):
-                    # Column j of tap kk's input gradient belongs to padded
-                    # time kk*d + j; the first `lag` columns fall in the pad.
-                    lag = pad - kk * dilation
-                    if need_x and lag < t_len:
-                        np.matmul(w.data[:, :, kk].T, gc, out=tap)
-                        gx[c0:c1, :, : t_len - lag] += tap[:, :, lag:]
-                    if need_w:
-                        np.matmul(gc, xp[:, :, windows[kk]].swapaxes(1, 2), out=gw_taps[kk, c0:c1])
+                    # Column j of tap kk's input gradient belongs to input
+                    # time at + j; the first `lag` columns fall in the pad.
+                    at = windows[kk].start - pad
+                    lag = max(0, -at)
+                    if lag < steps:
+                        np.matmul(w.data[:, :, kk].T, g3[c0:c1], out=tap)
+                        gx[c0:c1, :, at + lag : at + steps] += tap[:, :, lag:]
 
-            _over_chunks(n, [(c_in, t_len + pad), (c_in, t_len)], backward_chunk)
-        if need_x:
+            _over_chunks(n, [(c_in, steps)], backward_chunk)
             _accumulate(x, gx[0] if squeeze else gx)
-        if need_w:
+        if w.requires_grad:
+            # One tap at a time: every sample's product of the tap, then
+            # their sum in sample order, so the order never depends on the
+            # worker count and only one tap's products are alive at once.
+            xp = xd
+            if pad:
+                xp = np.zeros((n, c_in, t_len + pad))
+                xp[:, :, pad:] = xd
+            products = np.empty((n, c_out, c_in))
             gw = np.empty_like(w.data)
             for kk in range(k):
-                gw[:, :, kk] = gw_taps[kk].sum(axis=0)
+
+                def tap_products(b0: int, b1: int) -> None:
+                    np.matmul(g3[b0:b1], xp[b0:b1, :, windows[kk]].swapaxes(1, 2), out=products[b0:b1])
+
+                _fan_out(tap_products, n)
+                gw[:, :, kk] = products.sum(axis=0)
             _accumulate(w, gw)
         if bias is not None and bias.requires_grad:
             _accumulate(bias, g3.sum(axis=(0, 2)))
@@ -506,12 +523,15 @@ def softmax_rows(a: Tensor) -> Tensor:
 
 
 def causal_attention(q: Tensor, k: Tensor, v: Tensor, scale: float, mode: str = "neg_inf") -> Tensor:
-    """softmax(mask(q k^T * scale)) v, with the T x T weights built per chunk.
+    """softmax(mask(q k^T * scale)) v, with the W x T weights built per chunk.
 
-    q, k: (..., T, d_k); v: (..., T, F). Entries above the main diagonal of
-    the scores are suppressed before the row softmax: "neg_inf" (default)
-    gives them zero weight; "zero_literal" writes 0.0 instead, reproducing
-    the figure-literal variant (which still leaks weight e^0 to the future).
+    k: (..., T, d_k); v: (..., T, F); q: (..., W, d_k) with W <= T rows,
+    aligned to the end of k and v: query row i stands at step T-W+i and
+    attends keys 0..T-W+i. W = T is the square causal block. Entries right of
+    that shifted diagonal are suppressed before the row softmax: "neg_inf"
+    (default) gives them zero weight; "zero_literal" writes 0.0 instead,
+    reproducing the figure-literal variant (which still leaks weight e^0 to
+    the future). The output is (..., W, F).
 
     Nothing but the operands is kept for the backward pass. It recomputes
     each chunk's weights P with the same operations as the forward pass, then
@@ -525,18 +545,18 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, scale: float, mode: str = 
         raise ValueError(f"unknown mask mode {mode!r}")
     if q.ndim < 2 or k.ndim < 2 or v.ndim < 2:
         raise ValueError("attention operands must be at least 2-D")
-    t_len = q.shape[-2]
-    if k.shape[-2] != t_len or v.shape[-2] != t_len:
-        raise ValueError(
-            f"scores must be a square T x T block; got q {q.shape}, k {k.shape}, v {v.shape}"
-        )
+    rows, t_len = q.shape[-2], k.shape[-2]
+    if v.shape[-2] != t_len:
+        raise ValueError(f"k and v must share their steps; got k {k.shape}, v {v.shape}")
+    if rows > t_len:
+        raise ValueError(f"q has {rows} rows, more than the {t_len} key steps; got q {q.shape}, k {k.shape}")
     scale = np.float64(scale)
-    above = np.triu(np.ones((t_len, t_len), dtype=bool), k=1)
+    above = np.triu(np.ones((rows, t_len), dtype=bool), k=t_len - rows + 1)
     lead = np.broadcast_shapes(q.shape[:-2], k.shape[:-2], v.shape[:-2])
     qd, kd, vd = (_batched(a.data, lead) for a in (q, k, v))
     n = qd.shape[0]
-    block = qd.shape[1:-1] + (t_len,)  # one sample's T x T weights
-    data = np.empty(vd.shape)
+    block = qd.shape[1:-1] + (t_len,)  # one sample's W x T weights
+    data = np.empty(qd.shape[:-1] + vd.shape[-1:])
 
     def weights(c0: int, c1: int, p: np.ndarray) -> None:
         """Write the weights of samples c0:c1 into `p`."""
@@ -592,16 +612,38 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, scale: float, mode: str = 
 
 
 def dropout_layer(
-    x: Tensor, p: float, training: bool, rng: Optional[np.random.Generator] = None
+    x: Tensor,
+    p: float,
+    training: bool,
+    rng: Optional[np.random.Generator] = None,
+    t_full: Optional[int] = None,
 ) -> Tensor:
-    """Inverted dropout: survivors scale by 1/(1-p); evaluation is identity."""
+    """Inverted dropout: survivors scale by 1/(1-p); evaluation is identity.
+
+    With `t_full`, x holds the last x.shape[-1] of `t_full` time steps: the
+    mask is drawn for all `t_full` steps and only its last columns are kept,
+    so the rng stream and the dropped units match a pass over the full length.
+    The draws go through one buffer of a few rows at a time, which takes the
+    same stream as a single `rng.random` call over the whole shape.
+    """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout rate {p} outside [0, 1)")
     if not training or p == 0.0:
         return x
     if rng is None:
         raise ValueError("training-mode dropout needs an rng")
-    keep = rng.random(x.shape) >= p
+    steps = x.shape[-1] if x.ndim else 1
+    if t_full is None:
+        t_full = steps
+    if t_full < steps:
+        raise ValueError(f"t_full {t_full} is shorter than the input's {steps} steps")
+    keep = np.empty(x.shape, dtype=bool)
+    rows = keep.reshape(math.prod(x.shape[:-1]), steps)
+    draw = np.empty((max(1, _CHUNK_BYTES // (8 * max(t_full, 1))), t_full))
+    for r0 in range(0, len(rows), len(draw)):
+        chunk = draw[: len(rows) - r0]
+        rng.random(out=chunk)
+        np.greater_equal(chunk[:, t_full - steps :], p, out=rows[r0 : r0 + len(chunk)])
     survivor = 1.0 / (1.0 - p)
     # The bool mask is all the backward pass keeps; the float factors are
     # rebuilt from it, so both passes multiply by exactly 1/(1-p) or 0.0.

@@ -1,9 +1,10 @@
 """Composed-chain attention kept as the bitwise reference oracle for
 `tensor.causal_attention`.
 
-This is the pre-fusion spelling: matmul -> scale -> lower-triangular mask ->
-row softmax -> matmul, each step its own recorded op with its own T x T
-tensor. The fused primitive must match it bit for bit, forward and backward.
+This is the pre-fusion spelling: matmul -> scale -> causal mask -> row
+softmax -> matmul, each step its own recorded op with its own W x T tensor
+(W query rows aligned to the end of T key steps). The fused primitive must
+match it bit for bit, forward and backward.
 """
 
 import math
@@ -16,14 +17,15 @@ from csi_tcn.tensor import Tensor
 
 
 def lower_triangular_mask(s: Tensor, mode: str = "neg_inf") -> Tensor:
-    """Suppress entries above the main diagonal of the trailing T x T block:
-    -inf for "neg_inf", 0.0 for "zero_literal"."""
-    if s.ndim < 2 or s.shape[-1] != s.shape[-2]:
-        raise ValueError(f"mask input must end in a square block, got {s.shape}")
+    """Suppress the entries of the trailing W x T block (W <= T) that lie
+    right of the diagonal ending in its last corner, so row i keeps columns
+    0..T-W+i: -inf for "neg_inf", 0.0 for "zero_literal"."""
+    if s.ndim < 2 or s.shape[-2] > s.shape[-1]:
+        raise ValueError(f"mask input must end in a block with no more rows than columns, got {s.shape}")
     if mode not in ("neg_inf", "zero_literal"):
         raise ValueError(f"unknown mask mode {mode!r}")
-    t = s.shape[-1]
-    above = np.triu(np.ones((t, t), dtype=bool), k=1)
+    rows, t = s.shape[-2:]
+    above = np.triu(np.ones((rows, t), dtype=bool), k=t - rows + 1)
     fill = -np.inf if mode == "neg_inf" else 0.0
     data = np.where(above, fill, s.data)
 
@@ -46,11 +48,14 @@ def reference_attention(q: Tensor, k: Tensor, v: Tensor, scale: float, mode: str
 
 
 def reference_attention_forward(
-    h: Tensor, params: AttentionParams, mask_mode: MaskMode = MaskMode.NEG_INF
+    h: Tensor, params: AttentionParams, mask_mode: MaskMode = MaskMode.NEG_INF, rows=None
 ) -> Tensor:
     """`model.attention_forward` spelled with the composed chain."""
-    q = T.linear(h, params.w_q)
+    t_len = h.shape[-2]
+    rows = t_len if rows is None else rows
+    h_q = h if rows == t_len else T.index(h, (Ellipsis, slice(t_len - rows, None), slice(None)))
+    q = T.linear(h_q, params.w_q)
     k = T.linear(h, params.w_k)
     v = T.linear(h, params.w_v)
     attended = reference_attention(q, k, v, 1.0 / math.sqrt(params.d_k), mask_mode.value)
-    return T.mul(h, attended)
+    return T.mul(h_q, attended)

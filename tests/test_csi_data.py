@@ -80,6 +80,17 @@ class TestBinaryFormat:
         with pytest.raises(CsiFormatError, match="magic"):
             load_recording(path)
 
+    @pytest.mark.parametrize("field", ["n_t", "n_r", "n_p", "n_s"])
+    def test_dimension_above_u16_rejected_before_the_file_is_made(self, tmp_path, field):
+        dims = dict(n_t=1, n_r=1, n_p=1, n_s=1)
+        dims[field] = 65536
+        data = np.zeros((dims["n_t"] * dims["n_r"], dims["n_p"], dims["n_s"], 2), dtype=np.int8)
+        rec = CsiRecording(data=data, **dims)
+        path = tmp_path / "big.csi"
+        with pytest.raises(ValueError, match=rf"big\.csi: {field} = 65536 does not fit the u16 header field"):
+            save_recording(rec, path)
+        assert not path.exists()
+
     def test_zero_dimension_field(self, tmp_path):
         path = tmp_path / "zero.csi"
         path.write_bytes(b"CSI1" + struct.pack("<4H", 2, 0, 4, 5))

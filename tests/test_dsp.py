@@ -269,6 +269,14 @@ class TestSampleContainer:
         with pytest.raises(CsiFormatError, match="56.*64"):
             load_sample(path)
 
+    def test_dimension_above_u16_rejected_before_the_file_is_made(self, tmp_path):
+        from csi_tcn.dsp import PreprocessedSample
+
+        path = tmp_path / "big.csp"
+        with pytest.raises(ValueError, match=r"big\.csp: n_p = 65536 does not fit the u16 header field"):
+            save_sample(PreprocessedSample(data=np.zeros((1, 65536, 1))), path)
+        assert not path.exists()
+
     def test_zero_dimension_field_and_short_header(self, tmp_path):
         from csi_tcn.csi_data import CsiFormatError
 

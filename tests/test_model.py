@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from attention_reference import reference_attention_forward
+from model_reference import full_length_forward
 from csi_tcn import model as model_mod
 from csi_tcn import tensor as T
 from csi_tcn.model import (
@@ -335,6 +336,123 @@ class TestModelForward:
         x = np.random.default_rng(11).standard_normal((2, 16, 4))
         _, acts = model_forward(x, params, cfg, return_activations=True)
         assert {"attention_pre", "block0", "block1", "block2", "output"} <= set(acts)
+
+
+class TestReceptiveWindow:
+    """The windowed pass against the full-length oracle in model_reference."""
+
+    # kernel 3, blocks dilated 1, 2, 4: W = 15; 4 -> 6 channels needs a projection
+    @staticmethod
+    def config(placement, mask_mode):
+        return small_config(
+            filters=(6, 5, 5), attention_placement=placement, mask_mode=mask_mode, dropout=0.3, d_k=3
+        )
+
+    @pytest.mark.parametrize("t_len", [9, 15, 40])  # below, at and above W
+    @pytest.mark.parametrize("mask_mode", list(MaskMode))
+    @pytest.mark.parametrize("placement", list(AttentionPlacement))
+    def test_matches_full_length_oracle(self, placement, mask_mode, t_len):
+        cfg = self.config(placement, mask_mode)
+        assert receptive_field(cfg) == 15
+        x_data = np.random.default_rng(40).standard_normal((2, 3, t_len, cfg.in_features))
+        labels = np.array([2, 0])
+        runs = []
+        for forward in (model_forward, full_length_forward):
+            params = init_model(cfg, np.random.default_rng(41))
+            x = Tensor(x_data.copy(), requires_grad=True)
+            probs = forward(x, params, cfg, True, np.random.default_rng(42))
+            T.cross_entropy_mean(probs, labels).backward()
+            grads = {name: p.grad for name, p in params.named().items()}
+            runs.append((probs.data, x.grad, grads))
+        (ours_p, ours_x, ours_g), (full_p, full_x, full_g) = runs
+
+        def close(a, b):
+            return a.shape == b.shape and np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+        assert close(ours_p, full_p)
+        assert close(ours_x, full_x)
+        assert ours_g.keys() == full_g.keys()
+        for name in full_g:
+            assert close(ours_g[name], full_g[name]), name
+
+    def test_dropout_masks_match_the_full_pass(self, monkeypatch):
+        # with every weight positive nothing else can zero a unit, so the head's
+        # features are zero exactly where the full pass dropped them
+        cfg = self.config(AttentionPlacement.NONE, MaskMode.NEG_INF)
+        cfg = dataclasses.replace(cfg, dropout=0.5, filters=(6,), residual=False)
+        params = init_model(cfg, np.random.default_rng(43))
+        for p in params.named().values():
+            p.data = np.abs(p.data) + 0.01
+        x = np.random.default_rng(44).uniform(0.5, 1.0, (4, 3, 30, cfg.in_features))
+        _, acts = model_forward(x, params, cfg, True, np.random.default_rng(45), return_activations=True)
+        full = acts["features"].data
+        dropped = []
+        real = T.dropout_layer
+
+        def recording(y, *args):
+            dropped.append(real(y, *args))
+            return dropped[-1]
+
+        monkeypatch.setattr(T, "dropout_layer", recording)
+        model_forward(x, params, cfg, True, np.random.default_rng(45))
+        assert len(dropped) == 1 and dropped[0].shape == (12, 6, 1)
+        assert np.array_equal(dropped[0].data[:, :, 0] == 0.0, full == 0.0)
+        assert np.any(full == 0.0) and np.any(full != 0.0)
+
+    @pytest.mark.parametrize(
+        "placement, expected",
+        [
+            ("pre_tcn_only", (375, {"attention_pre": 99, "block0": 85, "block1": 57, "block2": 1})),
+            ("none", (99, {"block0": 85, "block1": 57, "block2": 1})),
+            ("post_tcn", (375, {"block0": 375, "block1": 375, "block2": 375, "attention_post": 1})),
+            (
+                "every_layer",
+                (
+                    375,
+                    {
+                        "attention_layer0": 375,
+                        "block0": 375,
+                        "attention_layer1": 375,
+                        "block1": 375,
+                        "attention_layer2": 57,
+                        "block2": 1,
+                    },
+                ),
+            ),
+        ],
+    )
+    def test_stock_stage_steps(self, placement, expected):
+        assert model_mod._stage_steps(ModelConfig(attention_placement=placement), 375) == expected
+
+    def test_short_input_caps_every_stage_at_its_length(self):
+        first, steps = model_mod._stage_steps(ModelConfig(), 50)
+        assert first == 50 and steps == {"attention_pre": 50, "block0": 50, "block1": 50, "block2": 1}
+
+    def test_stock_attention_builds_window_by_length_scores(self, monkeypatch):
+        shapes = []
+        real = T.causal_attention
+
+        def recording(q, k, v, *args):
+            shapes.append((q.shape, k.shape))
+            return real(q, k, v, *args)
+
+        monkeypatch.setattr(T, "causal_attention", recording)
+        cfg = ModelConfig()
+        params = init_model(cfg, np.random.default_rng(46))
+        model_forward(np.random.default_rng(47).standard_normal((6, 375, 30)), params, cfg)
+        assert shapes == [((6, 99, 30), (6, 375, 30))]
+
+    def test_activations_are_full_length(self):
+        for placement in AttentionPlacement:
+            cfg = small_config(attention_placement=placement)
+            params = init_model(cfg, np.random.default_rng(48))
+            x = np.random.default_rng(49).standard_normal((2, 3, 40, cfg.in_features))
+            _, acts = model_forward(x, params, cfg, return_activations=True)
+            for name, t in acts.items():
+                if name.startswith("attention"):
+                    assert t.shape[-2] == 40, name
+                elif name.startswith("block"):
+                    assert t.shape[-1] == 40, name
 
 
 class TestReceptiveField:

@@ -95,6 +95,53 @@ class TestCausalConv:
             T.causal_conv1d(Tensor(np.ones((2, 5))), Tensor(np.ones((1, 3, 2))), None, 1)
         with pytest.raises(ValueError):
             T.causal_conv1d(Tensor(np.ones((2, 5))), Tensor(np.ones((1, 2, 2))), None, 0)
+        with pytest.raises(ValueError, match="steps"):
+            T.causal_conv1d(Tensor(np.ones((2, 5))), Tensor(np.ones((1, 2, 2))), None, 1, steps=6)
+
+    @pytest.mark.parametrize(
+        "t_len, k, dilation, steps",
+        [
+            (20, 3, 2, 1),  # the last output alone, no pad read
+            (20, 3, 2, 7),
+            (9, 3, 2, 7),  # the kept outputs reach 2 steps into the pad
+            (12, 5, 4, 12),  # every output, as without `steps`
+            (6, 1, 1, 3),  # k = 1
+            (5, 4, 3, 2),  # the reach (9) exceeds T
+        ],
+    )
+    def test_steps_are_the_last_columns_of_the_full_output(self, t_len, k, dilation, steps):
+        rng = np.random.default_rng(t_len * 100 + k * 10 + steps)
+        arrays = [rng.standard_normal((3, 2, t_len)), rng.standard_normal((4, 2, k)), rng.standard_normal(4)]
+        coeffs = rng.standard_normal((3, 4, steps))
+        padded = np.concatenate([np.zeros((3, 4, t_len - steps)), coeffs], axis=-1)
+        results = []
+        for kept, c in ((steps, coeffs), (None, padded)):
+            x, w, b = (Tensor(a.copy(), requires_grad=True) for a in arrays)
+            out = T.causal_conv1d(x, w, b, dilation, steps=kept)
+            T.sum_over(T.mul(out, Tensor(c))).backward()
+            results.append((out.data[..., -steps:], x.grad, w.grad, b.grad))
+        for ours, full, name in zip(*results, ("output", "x.grad", "w.grad", "b.grad")):
+            assert ours.shape == full.shape, name
+            assert np.max(np.abs(ours - full)) <= 1e-13 * max(np.max(np.abs(full)), 1.0), name
+
+    def test_weight_gradient_keeps_one_tap_of_sample_products(self):
+        # Stock 50 -> 50 block, k = 15, batch 48, windowed to 85 outputs. The
+        # parent kept every tap's per-sample products: 13.7 MiB at once.
+        rng = np.random.default_rng(15)
+        n, c, k, steps = 48, 50, 15, 85
+        x = Tensor(rng.standard_normal((n, c, steps + k - 1)), requires_grad=True)
+        w = Tensor(rng.standard_normal((c, c, k)), requires_grad=True)
+        out = T.causal_conv1d(x, w, None, 1, steps=steps)
+        g = rng.standard_normal(out.shape)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out._backward(g)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        one_tap = n * c * c * 8
+        assert peak <= x.data.nbytes + 2 * one_tap, f"backward peaks at {peak / one_tap:.1f} taps of products"
 
 
 class TestLinear:
@@ -156,15 +203,20 @@ class TestMask:
         y = lower_triangular_mask(Tensor([[1.0, 2.0], [3.0, 4.0]]), "zero_literal")
         assert np.array_equal(y.data, [[1.0, 0.0], [3.0, 4.0]])
 
-    def test_non_square_rejected(self):
+    def test_offset_block(self):
+        # two query rows at the last two of three steps
+        y = lower_triangular_mask(Tensor([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]), "neg_inf")
+        assert np.array_equal(y.data, [[1.0, 2.0, -np.inf], [4.0, 5.0, 6.0]])
+
+    def test_more_rows_than_columns_rejected(self):
         with pytest.raises(ValueError):
-            lower_triangular_mask(Tensor(np.ones((2, 3))), "neg_inf")
+            lower_triangular_mask(Tensor(np.ones((3, 2))), "neg_inf")
 
 
 def attention_weights(scores, mode):
-    """Weights of `causal_attention` on given scores: q = scores, k = I and
-    v = I make q k^T = scores and the output equal to the weights."""
-    eye = Tensor(np.eye(len(scores)))
+    """Weights of `causal_attention` on given W x T scores: q = scores, k = I
+    and v = I make q k^T = scores and the output equal to the weights."""
+    eye = Tensor(np.eye(np.shape(scores)[-1]))
     return T.causal_attention(Tensor(scores), eye, eye, 1.0, mode).data
 
 
@@ -190,9 +242,41 @@ class TestCausalAttention:
         assert np.allclose(w[0], softmax([1.0, 0.0]), rtol=0.0, atol=1e-15)
         assert np.allclose(w[1], softmax([3.0, 4.0]), rtol=0.0, atol=1e-15)
 
-    def test_non_square_scores_rejected(self):
-        with pytest.raises(ValueError, match="square"):
-            T.causal_attention(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 3))), Tensor(np.ones((3, 4))), 1.0)
+    def test_more_query_rows_than_keys_rejected(self):
+        with pytest.raises(ValueError, match="rows"):
+            T.causal_attention(Tensor(np.ones((4, 3))), Tensor(np.ones((3, 3))), Tensor(np.ones((3, 4))), 1.0)
+
+    def test_keys_and_values_must_share_their_steps(self):
+        with pytest.raises(ValueError, match="steps"):
+            T.causal_attention(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 3))), Tensor(np.ones((4, 4))), 1.0)
+
+    @pytest.mark.parametrize("mode", ["neg_inf", "zero_literal"])
+    def test_square_call_bitwise_equal_to_parent(self, mode):
+        # W = T is the parent's square causal attention, bit for bit
+        rng = np.random.default_rng(31)
+        arrays = [rng.standard_normal((3, 9, 4)), rng.standard_normal((3, 9, 4)), rng.standard_normal((3, 9, 5))]
+        ours = _forward_backward(lambda q, k, v: T.causal_attention(q, k, v, 0.7, mode), arrays, [True] * 3, seed=3)
+        theirs = _forward_backward(
+            lambda q, k, v: kernel_reference.causal_attention(q, k, v, 0.7, mode), arrays, [True] * 3, seed=3
+        )
+        _assert_same_bits(ours, theirs)
+
+    @pytest.mark.parametrize("rows, t_len", [(1, 1), (1, 6), (3, 6), (6, 6)])
+    def test_query_row_sees_exactly_keys_up_to_its_step(self, rows, t_len):
+        rng = np.random.default_rng(rows * 10 + t_len)
+        reach = t_len - rows  # row i attends keys 0..reach + i
+        visible = np.arange(t_len)[None, :] <= reach + np.arange(rows)[:, None]
+        w = attention_weights(rng.standard_normal((rows, t_len)), "neg_inf")
+        assert np.array_equal(w > 0.0, visible)
+        q, k, v = (rng.standard_normal((rows if i == 0 else t_len, 3)) for i in range(3))
+        base = T.causal_attention(Tensor(q), Tensor(k), Tensor(v), 0.5).data
+        for j in range(t_len):
+            k2, v2 = k.copy(), v.copy()
+            k2[j] += 1.0
+            v2[j] += 1.0
+            out = T.causal_attention(Tensor(q), Tensor(k2), Tensor(v2), 0.5).data
+            changed = np.any(out != base, axis=-1)
+            assert np.array_equal(changed, visible[:, j]), f"key step {j}"
 
     def test_unknown_mode_rejected(self):
         x = Tensor(np.ones((2, 2)))
@@ -216,6 +300,25 @@ class TestCausalAttention:
             results.append((out.data, q.grad, k.grad, v.grad))
         for fused, composed, name in zip(*results, ("output", "q.grad", "k.grad", "v.grad")):
             assert np.array_equal(fused, composed), name
+
+    @pytest.mark.parametrize("mode", ["neg_inf", "zero_literal"])
+    @pytest.mark.parametrize(
+        "q_shape, k_shape, v_shape",
+        [((3, 2, 4), (3, 7, 4), (3, 7, 5)), ((1, 3), (6, 3), (6, 2)), ((2, 4, 2), (1, 5, 2), (2, 5, 3))],
+    )
+    def test_offset_bitwise_equal_to_composed_chain(self, mode, q_shape, k_shape, v_shape):
+        rng = np.random.default_rng(q_shape[-2] * 10 + k_shape[-2])
+        arrays = [rng.standard_normal(q_shape), rng.standard_normal(k_shape), rng.standard_normal(v_shape)]
+        out_shape = np.broadcast_shapes(q_shape[:-2], v_shape[:-2]) + (q_shape[-2], v_shape[-1])
+        coeffs = Tensor(rng.standard_normal(out_shape))
+        results = []
+        for attend in (T.causal_attention, reference_attention):
+            q, k, v = (Tensor(a.copy(), requires_grad=True) for a in arrays)
+            out = attend(q, k, v, 0.45, mode)
+            T.sum_over(T.mul(out, coeffs)).backward()
+            results.append((out.data, q.grad, k.grad, v.grad))
+        for fused, composed, name in zip(*results, ("output", "q.grad", "k.grad", "v.grad")):
+            assert fused.shape == composed.shape and np.array_equal(fused, composed), name
 
 
 def _forward_backward(op, arrays, needs_grad, seed):
@@ -288,6 +391,14 @@ class TestFanOut:
         op = lambda x, w, b: T.causal_conv1d(x, w, b, dilation)  # noqa: E731
         _assert_same_on_workers(monkeypatch, workers, op, arrays, [x_grad, True, True])
 
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("steps", [1, 4, 9])
+    def test_conv_steps_bitwise_equal_to_one_worker(self, monkeypatch, workers, steps):
+        rng = np.random.default_rng(steps)
+        arrays = [rng.standard_normal((5, 3, 11)), rng.standard_normal((4, 3, 3)), rng.standard_normal(4)]
+        op = lambda x, w, b: T.causal_conv1d(x, w, b, 2, steps)  # noqa: E731
+        _assert_same_on_workers(monkeypatch, workers, op, arrays, [True, True, True])
+
     def test_conv_without_any_gradient(self, monkeypatch):
         rng = np.random.default_rng(4)
         arrays = [rng.standard_normal((5, 2, 9)), rng.standard_normal((3, 2, 3)), rng.standard_normal(3)]
@@ -304,6 +415,7 @@ class TestFanOut:
             ((3, 1, 4), (3, 1, 4), (3, 1, 2)),  # T = 1
             ((6, 2), (6, 2), (6, 3)),  # unbatched
             ((1, 5, 3), (4, 5, 3), (4, 5, 2)),  # broadcast batch axis
+            ((5, 2, 3), (5, 6, 3), (5, 6, 4)),  # query rows at the last 2 of 6 steps
         ],
     )
     def test_attention_bitwise_equal_to_one_worker(self, monkeypatch, workers, mode, q_shape, k_shape, v_shape):
@@ -528,6 +640,22 @@ class TestElementwiseAndDropout:
             results.append((y.data, x.grad))
         assert np.any(np.signbit(results[0][0]) & (results[0][0] == 0.0))
         _assert_same_bits(*results)
+
+    @pytest.mark.parametrize("budget", [1, T._CHUNK_BYTES])
+    @pytest.mark.parametrize("steps", [0, 1, 4, 9])
+    def test_dropout_keeps_the_last_columns_of_the_full_draw(self, monkeypatch, budget, steps):
+        monkeypatch.setattr(T, "_CHUNK_BYTES", budget)
+        x = np.random.default_rng(5).standard_normal((3, 4, 9))
+        full = T.dropout_layer(Tensor(x), 0.4, training=True, rng=np.random.default_rng(6))
+        rng = np.random.default_rng(6)
+        part = T.dropout_layer(Tensor(x[..., 9 - steps :]), 0.4, training=True, rng=rng, t_full=9)
+        assert part.data.tobytes() == full.data[..., 9 - steps :].tobytes()
+        # the stream moved on by the whole draw, as the full pass's did
+        assert rng.random() == np.random.default_rng(6).random(3 * 4 * 9 + 1)[-1]
+
+    def test_dropout_draw_shorter_than_the_input_rejected(self):
+        with pytest.raises(ValueError, match="t_full"):
+            T.dropout_layer(Tensor(np.ones((2, 5))), 0.5, training=True, rng=np.random.default_rng(0), t_full=4)
 
     def test_dropout_rate_validation(self):
         with pytest.raises(ValueError):
