@@ -5,8 +5,9 @@ Every command is a thin composition of the library modules, reads one JSON
 config (with `--set section.key=value` overrides), and emits deterministic
 files: same inputs and seed give byte-identical outputs. Wall-clock timings
 go to a separate `timings.csv`, which is the one intentionally
-non-reproducible artifact. `preprocess` and `augment` write through a
-staging directory (`_staged`), so a failed run leaves `--out` untouched.
+non-reproducible artifact. `synth`, `preprocess` and `augment` write
+through a staging directory (`_staged`), so a failed run leaves `--out`
+untouched; `train` creates `--out` only once training has returned.
 """
 
 from __future__ import annotations
@@ -186,9 +187,12 @@ def _staged(out: str) -> Iterator[tuple[str, list[ManifestEntry]]]:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    manifest = generate_synthetic(cfg.synth, args.out)
+    with _staged(args.out) as (stage, entries):
+        for entry in generate_synthetic(cfg.synth, stage):
+            name = os.path.basename(entry.path)
+            entries.append(dataclasses.replace(entry, path=os.path.join(args.out, name)))
     print(
-        f"wrote {len(manifest)} recordings "
+        f"wrote {len(entries)} recordings "
         f"({cfg.synth.classes} classes x {cfg.synth.samples_per_class} trials) to {args.out}"
     )
     return 0
@@ -280,10 +284,10 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     if args.kfold is not None:
         # Every fold is checked (and `kfold_evaluate` repeats the cheap split)
-        # so that a bad plan fails before `--out` exists.
+        # so that a bad plan fails before any fold trains.
         kfold_splits([s.label for s in samples], args.kfold, cfg.train.seed)
-        os.makedirs(args.out, exist_ok=True)
         per_fold, mean_accuracy = kfold_evaluate(samples, cfg.model, cfg.train, k=args.kfold)
+        os.makedirs(args.out, exist_ok=True)
         for fold, metrics in enumerate(per_fold):
             write_metrics_csv(metrics, os.path.join(args.out, f"fold{fold}_metrics.csv"))
         write_summary(
@@ -300,8 +304,8 @@ def cmd_train(args: argparse.Namespace) -> int:
         return 0
 
     train_set, val_set = holdout_split(samples, cfg.train)
-    os.makedirs(args.out, exist_ok=True)
     params, metrics = train(train_set, cfg.model, cfg.train, val_set)
+    os.makedirs(args.out, exist_ok=True)
 
     save_checkpoint(os.path.join(args.out, "checkpoint.ckpt"), params, cfg.model)
     write_metrics_csv(metrics, os.path.join(args.out, "metrics.csv"))

@@ -106,6 +106,14 @@ def _build_section(name: str, cls, provided: dict):
         raise ConfigError(f"invalid config section {name!r}: {exc}") from exc
 
 
+def _check_seed(key: str, value):
+    """Seeds must be integers: a float, a bool or a string is refused here
+    rather than truncated, read as 0/1 or left to fail inside a stage."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def load_run_config(
     path: Optional[str] = None,
     overrides: Optional[list[str]] = None,
@@ -128,15 +136,15 @@ def load_run_config(
         if key != "seed" and key not in _SECTIONS:
             raise ConfigError(f"unknown config key: {key}")
 
-    global_seed = seed if seed is not None else int(raw.get("seed", 0))
+    global_seed = _check_seed("seed", seed if seed is not None else raw.get("seed", 0))
     sections = {}
     for name, cls in _SECTIONS.items():
         provided = dict(raw.get(name, {}))
         if not isinstance(provided, dict):
             raise ConfigError(f"config section {name!r} must be an object")
         # Stage seeds follow the global seed unless pinned explicitly.
-        if "seed" in {f.name for f in dataclasses.fields(cls)} and "seed" not in provided:
-            provided["seed"] = global_seed
+        if "seed" in {f.name for f in dataclasses.fields(cls)}:
+            provided["seed"] = _check_seed(f"{name}.seed", provided.get("seed", global_seed))
         sections[name] = _build_section(name, cls, provided)
     return RunConfig(seed=global_seed, **sections)
 

@@ -3,7 +3,10 @@ per-pair head, and average pooling over antenna pairs.
 
 `ModelConfig.filters` fixes the conv stack: one block per listed width, and
 block m dilates by 2^m, so the depth and the dilation schedule are not
-separate settings.
+separate settings. `_stages` is the one description of stage order: it lays
+out the attention sites and conv blocks between input and head, and
+`init_model`, the receptive-field window, `model_forward` and
+`parameter_count` all follow it.
 
 Input is one preprocessed sample (pairs, T, features) or a batch of them;
 output is a class distribution. All pairs share the same weights; the final
@@ -19,7 +22,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -180,24 +183,37 @@ def _glorot(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, fan_o
     return Tensor(rng.uniform(-limit, limit, size=shape), requires_grad=True)
 
 
-def _attention_keys(cfg: ModelConfig) -> list[tuple[str, int]]:
-    """(name, feature width) of each attention site implied by the placement."""
-    last_width = cfg.filters[-1] if cfg.filters else cfg.in_features
-    if cfg.attention_placement is AttentionPlacement.PRE_TCN_ONLY:
-        return [("pre", cfg.in_features)]
-    if cfg.attention_placement is AttentionPlacement.POST_TCN:
-        return [("post", last_width)]
-    if cfg.attention_placement is AttentionPlacement.EVERY_LAYER:
-        widths = [cfg.in_features] + list(cfg.filters[:-1])
-        return [(f"layer{m}", w) for m, w in enumerate(widths)]
-    return []
+class _Stage(NamedTuple):
+    """One stage between input and head: an attention site, whose parameters
+    sit under `key`, or a conv block (`key` None) dilated by `dilation`."""
+
+    name: str  # activation name
+    key: Optional[str]
+    width: int  # input features or channels
+    dilation: int = 0
+
+
+def _stages(cfg: ModelConfig) -> list[_Stage]:
+    """The network between input and head, in forward order. This is the one
+    place the attention placement decides where attention sits."""
+    widths = [cfg.in_features, *cfg.filters]
+    blocks = [_Stage(f"block{m}", None, widths[m], d) for m, d in enumerate(_dilations(cfg))]
+    placement = cfg.attention_placement
+    if placement is AttentionPlacement.PRE_TCN_ONLY:
+        return [_Stage("attention_pre", "pre", widths[0]), *blocks]
+    if placement is AttentionPlacement.POST_TCN:
+        return [*blocks, _Stage("attention_post", "post", widths[-1])]
+    if placement is AttentionPlacement.EVERY_LAYER:
+        sites = [_Stage(f"attention_layer{m}", f"layer{m}", b.width) for m, b in enumerate(blocks)]
+        return [s for pair in zip(sites, blocks) for s in pair]
+    return blocks
 
 
 def init_model(cfg: ModelConfig, rng: np.random.Generator) -> ModelParams:
     """Glorot-uniform weights, zero biases; draw order is fixed (attention
     sites, then blocks, then head) so a seed pins every parameter."""
     params = ModelParams()
-    for key, width in _attention_keys(cfg):
+    for _, key, width, _ in (s for s in _stages(cfg) if s.key is not None):
         params.attention[key] = AttentionParams(
             w_q=_glorot(rng, (cfg.d_k, width), width, cfg.d_k),
             w_k=_glorot(rng, (cfg.d_k, width), width, cfg.d_k),
@@ -289,25 +305,18 @@ def tcn_block_forward(
 def _stage_steps(cfg: ModelConfig, t_len: int) -> tuple[int, dict[str, int]]:
     """How many trailing time steps each stage must compute for the head.
 
-    Walks backwards from the head, which reads one step of the last stage. A
-    conv block that must output n steps reads n + (k-1)*d steps of its input
-    (at most the t_len there are). An attention site reads every step of its
-    input as keys and values, but only its n output rows as queries. Returns
-    the steps read of the stack's input, and the output steps of each stage
-    keyed by its activation name.
+    Walks `_stages` backwards from the head, which reads one step of the last
+    stage. A conv block that must output n steps reads n + (k-1)*d steps of
+    its input (at most the t_len there are). An attention site reads every
+    step of its input as keys and values, but only its n output rows as
+    queries. Returns the steps read of the stack's input, and the output
+    steps of each stage keyed by its activation name.
     """
-    placement = cfg.attention_placement
     out: dict[str, int] = {}
     n = 1
-    if placement is AttentionPlacement.POST_TCN:
-        out["attention_post"], n = n, t_len
-    for m, dilation in reversed(list(enumerate(_dilations(cfg)))):
-        out[f"block{m}"] = n
-        n = min(t_len, n + (cfg.kernel - 1) * dilation)
-        if placement is AttentionPlacement.EVERY_LAYER:
-            out[f"attention_layer{m}"], n = n, t_len
-    if placement is AttentionPlacement.PRE_TCN_ONLY:
-        out["attention_pre"], n = n, t_len
+    for stage in reversed(_stages(cfg)):
+        out[stage.name] = n
+        n = t_len if stage.key is not None else min(t_len, n + (cfg.kernel - 1) * stage.dilation)
     return n, out
 
 
@@ -324,7 +333,9 @@ def model_forward(
     Every pair runs through shared weights; per-pair distributions are then
     averaged. With `return_activations` a dict of named full-length
     intermediate tensors is returned alongside the output (used by the
-    causality probes).
+    causality probes). The stages run in `_stages` order, transposed only
+    where the layout switches between attention's (N, T, F) and the conv
+    blocks' (N, C, T).
 
     Receptive-field window: the head reads only the last conv-stack step, so
     without `return_activations` each stage computes only the trailing steps
@@ -355,28 +366,20 @@ def model_forward(
     h = T.reshape(x, (batch * pairs, t_len, feats))
     if first < t_len:
         h = T.index(h, (slice(None), slice(t_len - first, None), slice(None)))
-    if cfg.attention_placement is AttentionPlacement.PRE_TCN_ONLY:
-        h = attention_forward(h, params.attention["pre"], cfg.mask_mode, steps["attention_pre"])
-        acts["attention_pre"] = h
-    z = T.transpose(h, (0, 2, 1))  # (N, C, T)
-    for m, (block, dilation) in enumerate(zip(params.blocks, _dilations(cfg))):
-        if cfg.attention_placement is AttentionPlacement.EVERY_LAYER:
-            name = f"attention_layer{m}"
-            ht = attention_forward(
-                T.transpose(z, (0, 2, 1)), params.attention[f"layer{m}"], cfg.mask_mode, steps[name]
+    time_major = True  # attention reads (N, T, F); blocks read (N, C, T)
+    blocks = iter(params.blocks)
+    for stage in _stages(cfg):
+        if time_major != (stage.key is not None):
+            h, time_major = T.transpose(h, (0, 2, 1)), not time_major
+        if stage.key is not None:
+            h = attention_forward(h, params.attention[stage.key], cfg.mask_mode, steps[stage.name])
+        else:
+            h = tcn_block_forward(
+                h, next(blocks), stage.dilation, cfg.dropout, training, rng, cfg.residual,
+                steps[stage.name], t_len,
             )
-            acts[name] = ht
-            z = T.transpose(ht, (0, 2, 1))
-        z = tcn_block_forward(
-            z, block, dilation, cfg.dropout, training, rng, cfg.residual, steps[f"block{m}"], t_len
-        )
-        acts[f"block{m}"] = z
-    if cfg.attention_placement is AttentionPlacement.POST_TCN:
-        ht = attention_forward(
-            T.transpose(z, (0, 2, 1)), params.attention["post"], cfg.mask_mode, steps["attention_post"]
-        )
-        acts["attention_post"] = ht
-        z = T.transpose(ht, (0, 2, 1))
+        acts[stage.name] = h
+    z = T.transpose(h, (0, 2, 1)) if time_major else h  # (N, C, T)
 
     feats_last = T.index(z, (slice(None), slice(None), -1))  # (N, C_last)
     logits = T.linear(feats_last, params.head_w, params.head_b)
@@ -432,18 +435,8 @@ def probe_receptive_field(cfg: ModelConfig, t_len: Optional[int] = None, seed: i
 
 
 def parameter_count(cfg: ModelConfig) -> int:
-    """Exact scalar parameter total implied by the config."""
-    total = 0
-    for _, width in _attention_keys(cfg):
-        total += 2 * cfg.d_k * width + width * width
-    c_in = cfg.in_features
-    for c_out in cfg.filters:
-        total += c_out * c_in * cfg.kernel + c_out
-        if cfg.residual and c_in != c_out:
-            total += c_out * c_in
-        c_in = c_out
-    total += cfg.n_classes * c_in + cfg.n_classes
-    return total
+    """Exact scalar parameter total: the sizes of what `init_model` builds."""
+    return sum(p.size for p in init_model(cfg, np.random.default_rng(0)).named().values())
 
 
 # ---------------------------------------------------------------------------

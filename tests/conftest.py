@@ -8,8 +8,8 @@ from csi_tcn.cli import _STAGING_MARK
 @pytest.fixture(autouse=True)
 def no_staging_left(request):
     """Fail any test that leaves a CLI staging directory under its tmp_path:
-    `preprocess` and `augment` must rename their outputs into `--out` or
-    remove the staging directory, whether they succeed or fail."""
+    `synth`, `preprocess` and `augment` must rename their outputs into
+    `--out` or remove the staging directory, whether they succeed or fail."""
     tmp = request.getfixturevalue("tmp_path") if "tmp_path" in request.fixturenames else None
     yield
     if tmp is not None:

@@ -476,14 +476,17 @@ def test_unverifiable_blas_pin_fails_cleanly(workspace, tmp_path, monkeypatch, c
     root, cfg = workspace
     monkeypatch.setattr(train_mod, "threadpoolctl", None)
     monkeypatch.setattr(train_mod, "_openblas_thread_functions", lambda: None)
-    code = main(["train", str(root / "prep" / "manifest.csv"), "--config", str(cfg), "--out", str(tmp_path / "run")])
+    out = tmp_path / "run"
+    code = main(["train", str(root / "prep" / "manifest.csv"), "--config", str(cfg), "--out", str(out)])
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: cannot pin BLAS to one thread")
     assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
 
 
-def test_nan_parameter_fails_cleanly(workspace, tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("kfold", [[], ["--kfold", "2"]], ids=["holdout", "kfold"])
+def test_nan_parameter_fails_cleanly(workspace, tmp_path, monkeypatch, capsys, kfold):
     root, cfg = workspace
     real_init = train_mod.init_model
 
@@ -493,11 +496,46 @@ def test_nan_parameter_fails_cleanly(workspace, tmp_path, monkeypatch, capsys):
         return params
 
     monkeypatch.setattr(train_mod, "init_model", init_with_nan)
-    code = main(["train", str(root / "prep" / "manifest.csv"), "--config", str(cfg), "--out", str(tmp_path / "run")])
+    out = tmp_path / "run"
+    code = main(["train", str(root / "prep" / "manifest.csv"), "--config", str(cfg), *kfold, "--out", str(out)])
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: non-finite loss at epoch 0, batch 0")
     assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
+def test_synth_overflow_writes_no_output_directory(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(CONFIG))
+    out = tmp_path / "raw"
+    code = main(["synth", "--config", str(cfg), "--set", "synth.base_amplitude=200", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: signature amplitude exceeds signed 8-bit range")
+    assert len(err.strip().splitlines()) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
+
+
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        ("seed=1.5", "seed must be an integer, got 1.5"),
+        ("seed=true", "seed must be an integer, got True"),
+        ("train.seed=2.7", "train.seed must be an integer, got 2.7"),
+        ("augment.seed=false", "augment.seed must be an integer, got False"),
+        ('synth.seed="x"', "synth.seed must be an integer, got 'x'"),
+    ],
+    ids=["float", "bool", "section_float", "section_bool", "section_string"],
+)
+def test_non_integer_seed_is_rejected(tmp_path, capsys, override, message):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(CONFIG))
+    out = tmp_path / "raw"
+    code = main(["synth", "--config", str(cfg), "--set", override, "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_set_overrides_file(workspace, tmp_path):

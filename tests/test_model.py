@@ -512,6 +512,75 @@ class TestParameterCount:
         assert actual == parameter_count(cfg)
 
 
+STOCK_BLOCKS = [("block0", None, 30, 1), ("block1", None, 50, 2), ("block2", None, 50, 4)]
+
+
+class TestStages:
+    @pytest.mark.parametrize(
+        "placement, expected",
+        [
+            ("pre_tcn_only", [("attention_pre", "pre", 30, 0), *STOCK_BLOCKS]),
+            ("post_tcn", [*STOCK_BLOCKS, ("attention_post", "post", 50, 0)]),
+            (
+                "every_layer",
+                [
+                    ("attention_layer0", "layer0", 30, 0),
+                    STOCK_BLOCKS[0],
+                    ("attention_layer1", "layer1", 50, 0),
+                    STOCK_BLOCKS[1],
+                    ("attention_layer2", "layer2", 50, 0),
+                    STOCK_BLOCKS[2],
+                ],
+            ),
+            ("none", STOCK_BLOCKS),
+        ],
+    )
+    def test_stock_stages(self, placement, expected):
+        stages = model_mod._stages(ModelConfig(attention_placement=placement))
+        assert [tuple(s) for s in stages] == expected
+
+    def test_every_layer_follows_changing_widths(self):
+        cfg = ModelConfig(filters=(6, 8), in_features=5, attention_placement="every_layer")
+        assert [tuple(s) for s in model_mod._stages(cfg)] == [
+            ("attention_layer0", "layer0", 5, 0),
+            ("block0", None, 5, 1),
+            ("attention_layer1", "layer1", 6, 0),
+            ("block1", None, 6, 2),
+        ]
+
+    @pytest.mark.parametrize("placement", [p.value for p in AttentionPlacement])
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, {"filters": (6, 8), "in_features": 5, "d_k": 3, "kernel": 4}, {"residual": False}],
+    )
+    def test_steps_init_and_count_follow_the_stages(self, placement, overrides):
+        cfg = ModelConfig(attention_placement=placement, **overrides)
+        stages = model_mod._stages(cfg)
+        _, steps = model_mod._stage_steps(cfg, 40)
+        assert list(steps) == [s.name for s in reversed(stages)]
+
+        params = init_model(cfg, np.random.default_rng(0))
+        sites = [s for s in stages if s.key is not None]
+        blocks = [s for s in stages if s.key is None]
+        assert list(params.attention) == [s.key for s in sites]
+        assert [params.attention[s.key].w_q.shape[1] for s in sites] == [s.width for s in sites]
+        assert [b.w.shape[1] for b in params.blocks] == [s.width for s in blocks]
+        assert parameter_count(cfg) == self.count_from_stages(cfg)
+
+    def test_stock_count_from_stages(self):
+        assert self.count_from_stages(ModelConfig()) == parameter_count(ModelConfig()) == 102_462
+
+    @staticmethod
+    def count_from_stages(cfg):
+        stages = model_mod._stages(cfg)
+        total = sum(2 * cfg.d_k * s.width + s.width**2 for s in stages if s.key is not None)
+        for s, c_out in zip([s for s in stages if s.key is None], cfg.filters):
+            total += c_out * s.width * cfg.kernel + c_out
+            total += c_out * s.width if cfg.residual and c_out != s.width else 0
+        head_in = cfg.filters[-1] if cfg.filters else cfg.in_features
+        return total + cfg.n_classes * head_in + cfg.n_classes
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         cfg = small_config()
