@@ -167,22 +167,37 @@ def _staged(out: str) -> Iterator[tuple[str, list[ManifestEntry]]]:
     When the body returns, the files are renamed into `out` (created if
     missing; files of the same name are replaced, others kept) and
     `manifest.csv` is written last. When it raises, the staging directory is
-    removed and `out` is left as it was. The staging directory sits in
-    `out`'s parent, so every rename stays on one filesystem.
+    removed and `out` is left as it was, and so are its ancestors: any that
+    this call created are removed again while they are empty. The staging
+    directory sits in `out`'s parent, so every rename stays on one
+    filesystem.
     """
     out = os.path.abspath(out)
     parent = os.path.dirname(out)
+    created = []  # missing ancestors of `out`, deepest first
+    missing = parent
+    while not os.path.isdir(missing):
+        created.append(missing)
+        missing = os.path.dirname(missing)
     os.makedirs(parent, exist_ok=True)
     stage = tempfile.mkdtemp(prefix=os.path.basename(out) + _STAGING_MARK, dir=parent)
     entries: list[ManifestEntry] = []
+    done = False
     try:
         yield stage, entries
         os.makedirs(out, exist_ok=True)
         for name in os.listdir(stage):
             os.replace(os.path.join(stage, name), os.path.join(out, name))
         save_manifest(DatasetManifest(entries=entries), os.path.join(out, "manifest.csv"))
+        done = True
     finally:
         shutil.rmtree(stage, ignore_errors=True)
+        if not done:
+            for directory in created:
+                try:
+                    os.rmdir(directory)  # fails, and stops here, once one is not empty
+                except OSError:
+                    break
 
 
 def cmd_synth(args: argparse.Namespace) -> int:

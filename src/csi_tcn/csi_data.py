@@ -4,6 +4,14 @@ A recording is the complex channel grid of one trial: `n_t * n_r` transmit/
 receive antenna pairs, `n_p` packets, `n_s` subcarriers, each entry a complex
 number with signed 8-bit real and imaginary parts. The on-disk container is
 bit-exact (see `save_recording` / `load_recording`).
+
+Amplitude is a table lookup: every (re, im) int8 pair, read as one
+little-endian u16 code, indexes a 65,536-entry table of `np.hypot` values.
+`synthesize_recording` draws its noise serially, then builds each antenna
+pair's trig terms, envelope and quantized int8 grid on the kernel pool of
+`tensor._fan_out`; every buffer a worker writes is allocated before the
+fan-out, and each element's float operations are those of the whole-grid
+formula, so the bytes do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -16,6 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import tensor as T
 from .seeding import named_rng
 
 __all__ = [
@@ -195,11 +204,24 @@ def gate_and_trim(rec: CsiRecording, target_np: int = 1500) -> Optional[CsiRecor
     )
 
 
+# Magnitude of every (re, im) int8 pair, indexed by the pair's two bytes read
+# as one little-endian u16 (re is the low byte).
+_CODES = np.arange(1 << 16, dtype="<u2").view(np.int8).reshape(-1, 2).astype(np.float64)
+_MAGNITUDE = np.hypot(_CODES[:, 0], _CODES[:, 1])
+_MAGNITUDE.flags.writeable = False
+del _CODES
+
+
+def _magnitude_into(data: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Gather the magnitude of every complex entry of the int8 (..., 2) grid
+    `data` into the float64 array `out` of shape (...)."""
+    codes = np.ascontiguousarray(data).view("<u2")[..., 0]
+    return np.take(_MAGNITUDE, codes, out=out, mode="clip")
+
+
 def amplitude(rec: CsiRecording) -> np.ndarray:
     """Per-entry magnitude sqrt(re^2 + im^2) as float64, shape (pairs, n_p, n_s)."""
-    re = rec.data[..., 0].astype(np.float64)
-    im = rec.data[..., 1].astype(np.float64)
-    return np.hypot(re, im)
+    return _magnitude_into(rec.data, np.empty(rec.data.shape[:-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +385,7 @@ def synthesize_recording(spec: SyntheticSpec, class_id: int, trial_id: int) -> C
         )
     else:
         gain = np.ones(spec.n_s)
+    amp_gain = spec.base_amplitude * scale * gain
 
     # Modulation phase spread over pairs/subcarriers keeps the 6 x 30 series
     # distinct while sharing the class frequency.
@@ -370,40 +393,59 @@ def synthesize_recording(spec: SyntheticSpec, class_id: int, trial_id: int) -> C
         2.0 * math.pi * (0.13 * p[:, None, None] + 0.07 * s[None, None, :]) + trial_phase
     )
     mod_arg = 2.0 * math.pi * (sig.freq * t + 0.5 * sig.chirp * t * t)
-    modulation = spec.mod_depth * np.sin(mod_arg[None, :, None] + mod_phase)
-
-    envelope = 1.0 + modulation
+    burst = None
     if spec.burst_depth > 0.0:
         center = sig.burst_center * spec.n_p
         width = 0.05 * spec.n_p
-        envelope = envelope + spec.burst_depth * np.exp(
-            -0.5 * ((t[None, :, None] - center) / width) ** 2
-        )
-    envelope = spec.base_amplitude * scale * gain[None, None, :] * envelope
+        burst = spec.burst_depth * np.exp(-0.5 * ((t[:, None] - center) / width) ** 2)
+    carrier = 0.21 * t[:, None] + 0.11 * s[None, :]
+    pair_carrier = 0.05 * p[:, None, None]
 
-    theta = (
-        2.0 * math.pi * (0.21 * t[None, :, None] + 0.11 * s[None, None, :] + 0.05 * p[:, None, None])
-        + carrier_phase
-    )
-    re = envelope * np.cos(theta)
-    im = envelope * np.sin(theta)
+    # Both noise grids are drawn here, in stream order, before any pair is built.
+    noise = None
     if spec.noise_amp > 0.0:
-        re = re + spec.noise_amp * rng.standard_normal(re.shape)
-        im = im + spec.noise_amp * rng.standard_normal(im.shape)
+        noise = np.empty((2, pairs, spec.n_p, spec.n_s))
+        rng.standard_normal(out=noise[0])
+        rng.standard_normal(out=noise[1])
+    data = np.empty((pairs, spec.n_p, spec.n_s, 2), dtype=np.int8)
+    highs = np.empty((pairs, 2))
+    lows = np.empty((pairs, 2))
 
-    quantized = np.rint(np.stack([re, im], axis=-1))
-    peak = np.abs(quantized).max()
-    if peak > 127:
+    def build(c0: int, c1: int, envelope: np.ndarray, theta: np.ndarray, part: np.ndarray) -> None:
+        # Pairs c0..c1, each element formed as in the whole-grid formula
+        # envelope = base * scale * gain * (1 + depth * sin(mod) + burst);
+        # (re, im) = rint(envelope * (cos, sin)(theta) + noise_amp * noise).
+        np.add(mod_arg[:, None], mod_phase[c0:c1], out=envelope)
+        np.sin(envelope, out=envelope)
+        np.multiply(envelope, spec.mod_depth, out=envelope)
+        np.add(envelope, 1.0, out=envelope)
+        if burst is not None:
+            np.add(envelope, burst, out=envelope)
+        np.multiply(amp_gain, envelope, out=envelope)
+        np.add(carrier, pair_carrier[c0:c1], out=theta)
+        np.multiply(theta, 2.0 * math.pi, out=theta)
+        np.add(theta, carrier_phase, out=theta)
+        for k, trig in enumerate((np.cos, np.sin)):
+            trig(theta, out=part)
+            np.multiply(envelope, part, out=part)
+            if noise is not None:
+                term = noise[k, c0:c1]
+                np.multiply(term, spec.noise_amp, out=term)
+                np.add(part, term, out=part)
+            np.rint(part, out=part)
+            np.max(part, axis=(1, 2), out=highs[c0:c1, k])
+            np.min(part, axis=(1, 2), out=lows[c0:c1, k])
+            if highs[c0:c1, k].max() <= 127 and lows[c0:c1, k].min() >= -127:
+                np.copyto(data[c0:c1, ..., k], part, casting="unsafe")
+
+    grid = (spec.n_p, spec.n_s)
+    T._over_chunks(pairs, (grid, grid, grid), build)
+    peak = max(highs.max(), -lows.min())
+    if not peak <= 127:
         raise ValueError(
             f"signature amplitude exceeds signed 8-bit range after quantization (peak {peak:.0f})"
         )
-    return CsiRecording(
-        n_t=spec.n_t,
-        n_r=spec.n_r,
-        n_p=spec.n_p,
-        n_s=spec.n_s,
-        data=quantized.astype(np.int8),
-    )
+    return CsiRecording(n_t=spec.n_t, n_r=spec.n_r, n_p=spec.n_p, n_s=spec.n_s, data=data)
 
 
 def generate_synthetic(spec: SyntheticSpec, out_dir: str | os.PathLike) -> DatasetManifest:

@@ -3,10 +3,20 @@ filtering along time, and repeated single-level Haar DWT downsampling.
 
 With the defaults (two DWT levels) a 1500-packet recording becomes a
 (pairs, 375, subcarriers) float tensor.
+
+`preprocess` runs the chain one antenna pair at a time: the pair's amplitude
+is gathered from `csi_data`'s magnitude table into one (packets,
+subcarriers) buffer, normalized in place, filtered, and halved level by
+level, the last level straight into the pair's slice of the output. Each
+element sees the float operations of the whole-grid stages below, so the
+result is bitwise that of composing them. The filter is designed once per
+distinct (order, cutoff) and reused. The chain stays on the calling thread:
+`lfilter` holds the GIL, so pairs on the kernel pool would not overlap.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import struct
 from dataclasses import dataclass
@@ -15,7 +25,7 @@ from typing import Optional
 import numpy as np
 from scipy import signal as _signal
 
-from .csi_data import CsiRecording, amplitude, read_container, write_container
+from .csi_data import CsiRecording, _magnitude_into, read_container, write_container
 
 __all__ = [
     "FilterSpec",
@@ -104,6 +114,20 @@ class PreprocessedSample:
             raise ValueError("sample tensor contains non-finite values")
 
 
+def _minmax_in_place(x: np.ndarray) -> None:
+    # 2*(x - min)/(max - min) - 1 over all of `x`, operation by operation;
+    # a constant array becomes all zeros.
+    mn = x.min()
+    mx = x.max()
+    if mx == mn:
+        x[...] = 0.0
+        return
+    x -= mn
+    x *= 2.0
+    x /= mx - mn
+    x -= 1.0
+
+
 def minmax_normalize(x: np.ndarray, pair_axis: int = 0) -> np.ndarray:
     """Map each slice along `pair_axis` to [-1, 1].
 
@@ -113,16 +137,10 @@ def minmax_normalize(x: np.ndarray, pair_axis: int = 0) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(x)):
         raise ValueError("non-finite input")
-    moved = np.moveaxis(x, pair_axis, 0)
-    out = np.empty_like(moved)
-    for i, sl in enumerate(moved):
-        mn = sl.min()
-        mx = sl.max()
-        if mx == mn:
-            out[i] = 0.0
-        else:
-            out[i] = 2.0 * (sl - mn) / (mx - mn) - 1.0
-    return np.moveaxis(out, 0, pair_axis)
+    out = np.array(x)
+    for sl in np.moveaxis(out, pair_axis, 0):
+        _minmax_in_place(sl)
+    return out
 
 
 def design_butterworth_lowpass(spec: FilterSpec) -> IirCoefficients:
@@ -130,6 +148,16 @@ def design_butterworth_lowpass(spec: FilterSpec) -> IirCoefficients:
     so the magnitude at `cutoff` is exactly 1/sqrt(2)."""
     b, a = _signal.butter(spec.order, spec.cutoff, btype="low", output="ba")
     return IirCoefficients(b=b, a=a)
+
+
+@functools.lru_cache(maxsize=32)
+def _lowpass(order: int, cutoff: float) -> IirCoefficients:
+    # One design per distinct (order, cutoff), shared by every caller, so
+    # its coefficient arrays are made read-only.
+    coeffs = design_butterworth_lowpass(FilterSpec(order=order, cutoff=cutoff))
+    coeffs.b.flags.writeable = False
+    coeffs.a.flags.writeable = False
+    return coeffs
 
 
 def apply_filter(
@@ -149,6 +177,13 @@ def apply_filter(
     return _signal.lfilter(coeffs.b, coeffs.a, x, axis=axis)
 
 
+def _haar_into(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    # (x[2i] + x[2i+1]) / sqrt(2) along axis 0 of `x`, written into `out`.
+    np.add(x[0::2], x[1::2], out=out)
+    out /= np.sqrt(2.0)
+    return out
+
+
 def dwt_approx(x: np.ndarray, axis: int = -1) -> np.ndarray:
     """Haar approximation half: a[i] = (x[2i] + x[2i+1]) / sqrt(2).
 
@@ -158,9 +193,9 @@ def dwt_approx(x: np.ndarray, axis: int = -1) -> np.ndarray:
     n = x.shape[axis]
     if n % 2 != 0:
         raise ValueError(f"length along axis {axis} must be even, got {n}")
-    moved = np.moveaxis(x, axis, -1)
-    approx = (moved[..., 0::2] + moved[..., 1::2]) / np.sqrt(2.0)
-    return np.moveaxis(approx, -1, axis)
+    moved = np.moveaxis(x, axis, 0)
+    approx = _haar_into(moved, np.empty((n // 2,) + moved.shape[1:]))
+    return np.moveaxis(approx, 0, axis)
 
 
 def preprocess(
@@ -179,17 +214,26 @@ def preprocess(
     """
     filt = filt or FilterSpec()
     wav = wav or WaveletSpec()
-    coeffs = design_butterworth_lowpass(filt)
-    x = amplitude(rec)  # (pairs, n_p, n_s)
-    if normalize_first:
-        x = minmax_normalize(x, pair_axis=0)
-        x = apply_filter(x, coeffs, axis=1, zero_phase=filt.zero_phase)
-    else:
-        x = apply_filter(x, coeffs, axis=1, zero_phase=filt.zero_phase)
-        x = minmax_normalize(x, pair_axis=0)
-    for _ in range(wav.levels):
-        x = dwt_approx(x, axis=1)
-    return PreprocessedSample(data=x, label=label)
+    n_p = rec.n_p
+    if n_p % (1 << wav.levels) != 0:
+        raise ValueError(f"{n_p} packets cannot be halved {wav.levels} times")
+    coeffs = _lowpass(filt.order, filt.cutoff)
+    out = np.empty((rec.n_pairs, n_p >> wav.levels, rec.n_s))
+    pair = np.empty((n_p, rec.n_s))
+    # Haar levels alternate between the two halves of `pair`, which is free
+    # once filtered, so that no level reads the rows it writes.
+    halves = (pair[: n_p // 2], pair[n_p // 2 :])
+    for p in range(rec.n_pairs):
+        _magnitude_into(rec.data[p], pair)
+        if normalize_first:
+            _minmax_in_place(pair)
+        x = apply_filter(pair, coeffs, axis=0, zero_phase=filt.zero_phase)
+        if not normalize_first:
+            _minmax_in_place(x)
+        for level in range(wav.levels):
+            dst = out[p] if level == wav.levels - 1 else halves[level % 2][: len(x) // 2]
+            x = _haar_into(x, dst)
+    return PreprocessedSample(data=out, label=label)
 
 
 def save_sample(sample: PreprocessedSample, path: str | os.PathLike) -> None:

@@ -202,6 +202,10 @@ def _slices(n: int) -> list[tuple[int, int]]:
 def _fan_out(fn: Callable[[int, int], None], n: int) -> None:
     """Run `fn(b0, b1)` over contiguous slices that cover `range(n)`.
 
+    The kernels call it through `_over_chunks`, and so does
+    `csi_data.synthesize_recording` over antenna pairs; `augment._mix` calls
+    it directly over the antenna pairs of a raw mix.
+
     With one worker or one sample this is the plain call `fn(0, n)`.
     Otherwise each slice runs on the kernel pool, the caller waits for all of
     them, and the first exception (in slice order) is raised here. `fn` must

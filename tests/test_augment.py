@@ -375,19 +375,21 @@ def extreme_recordings(seed: int, n: int) -> list:
 
 
 class TestRawScratch:
-    """Raw outputs are computed in two float64 buffers that `augmented`
-    reuses for every output; each result must still match the reference's
-    fresh-array arithmetic bit for bit, signed zeros and clipping included."""
+    """Raw mixing computes in two float64 buffers that `augmented` reuses for
+    every output, and raw dropout stays in the integers; each result must
+    still match the reference's fresh-array float arithmetic bit for bit,
+    signed zeros and clipping included."""
 
-    def test_dropout_into_reused_buffer(self):
+    def test_raw_dropout_is_exact_in_integers(self):
         recs = extreme_recordings(3, 4)
-        buf = np.full(recs[0].data.shape, np.nan)
         for k, rec in enumerate(recs):
-            got = _dropout(rec.data, named_rng(k, "t"), 0.9, lam=0.5, out=buf)
+            got = _dropout(rec.data, named_rng(k, "t"), 0.9, lam=0.5)
             keep = named_rng(k, "t").random(rec.data.shape[:-1]) >= 0.5
             want = reference._rec_to_float(rec) * keep[..., None]
-            assert got is buf and got.tobytes() == want.tobytes()
-            assert (np.signbit(got) & (got == 0)).any()  # a dropped negative is -0.0
+            assert (np.signbit(want) & (want == 0)).any()  # the float path makes -0.0
+            assert got.dtype == np.int8 and got.shape == rec.data.shape
+            assert got.tobytes() == reference._float_to_rec(want, rec).data.tobytes()
+            assert not np.shares_memory(got, rec.data)
 
     @pytest.mark.parametrize("eps", [(0.0, 0.0, 0.0), (0.45, 0.0, 0.0), (0.0, 0.45, 0.45), (0.13, 0.31, 0.07)])
     def test_mix_into_reused_buffers(self, eps):

@@ -517,6 +517,40 @@ def test_synth_overflow_writes_no_output_directory(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
 
 
+@pytest.mark.parametrize("command", ["synth", "preprocess", "augment"])
+def test_failure_removes_the_parents_it_created(workspace, tmp_path, monkeypatch, capsys, command):
+    """A failed staged command removes the missing parents of `--out` it
+    made, and only those: an existing parent stays, and so does a created one
+    that something else has written into by then."""
+    root, cfg = workspace
+    raw_manifest = str(root / "raw" / "manifest.csv")
+    if command == "augment":  # every input has label 0: no donor for mix_other
+        one_label = tmp_path / "one_label.csv"
+        entries = [e for e in load_manifest(raw_manifest) if e.label == 0]
+        save_manifest(DatasetManifest(entries=entries), one_label)
+    argv = {
+        "synth": ["synth", "--set", "synth.base_amplitude=200"],
+        "preprocess": ["preprocess", raw_manifest, "--set", "pipeline.target_np=1500"],
+        "augment": ["augment", str(tmp_path / "one_label.csv"), "--stage", "pre", "--set", 'augment.methods=["mix_other"]'],
+    }[command] + ["--config", str(cfg), "--out", str(tmp_path / "kept" / "deep" / "er" / "out")]
+    (tmp_path / "kept").mkdir()
+    assert main(argv) == 1
+    assert list((tmp_path / "kept").iterdir()) == []
+
+    real_rmtree = cli.shutil.rmtree
+
+    def rmtree_after_a_write(*args, **kwargs):
+        (tmp_path / "kept" / "deep" / "note.txt").write_text("x")
+        return real_rmtree(*args, **kwargs)
+
+    monkeypatch.setattr(cli.shutil, "rmtree", rmtree_after_a_write)
+    assert main(argv) == 1
+    left = sorted(str(p.relative_to(tmp_path)) for p in (tmp_path / "kept").rglob("*"))
+    assert left == ["kept/deep", "kept/deep/note.txt"]
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 2 and all(line.startswith("error: ") for line in err)
+
+
 @pytest.mark.parametrize(
     "override, message",
     [
