@@ -81,12 +81,10 @@ def _dropout(
     rng: np.random.Generator,
     lambda_max: float,
     lam: Optional[float] = None,
-    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     # Zero each (pair, packet, subcarrier) cell with probability
     # lambda ~ U(0, lambda_max), so a raw drop zeroes a whole complex value.
-    # `lam` overrides the drawn probability (test hook). A raw grid comes
-    # back as a fresh int8 grid and ignores `out`.
+    # `lam` overrides the drawn probability (test hook).
     if lam is None:
         lam = rng.uniform(0.0, lambda_max)
     if not 0.0 <= lam <= 1.0:
@@ -96,7 +94,7 @@ def _dropout(
     if x.dtype == np.int8:
         pairs = np.ascontiguousarray(x).view(np.int16)  # one int16 per (re, im)
         return np.multiply(pairs, keep, dtype=np.int16).view(np.int8)
-    return np.multiply(x, keep, out=out, dtype=np.float64)
+    return np.multiply(x, keep, dtype=np.float64)
 
 
 def _mix(

@@ -5,9 +5,10 @@ Every command is a thin composition of the library modules, reads one JSON
 config (with `--set section.key=value` overrides), and emits deterministic
 files: same inputs and seed give byte-identical outputs. Wall-clock timings
 go to a separate `timings.csv`, which is the one intentionally
-non-reproducible artifact. `synth`, `preprocess` and `augment` write
-through a staging directory (`_staged`), so a failed run leaves `--out`
-untouched; `train` creates `--out` only once training has returned.
+non-reproducible artifact. Every command that writes `--out` writes
+through a staging directory (`_staged`), so a failed run leaves `--out` as
+it was; `train`, `eval` and `ablate` stage their files only once their work
+has returned.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .config import ConfigError, RunConfig, load_run_config, run_config_to_dict
 from .csi_data import (
     CsiFormatError,
     DatasetManifest,
-    ManifestEntry,
     generate_synthetic,
     gate_and_trim,
     load_manifest,
@@ -40,12 +40,12 @@ from .dsp import PreprocessedSample, load_sample, preprocess, save_sample
 from .gradchecks import run_battery
 from .model import load_checkpoint, model_config_to_dict, save_checkpoint
 from .train import (
+    SWEEP_KINDS,
     BlasPinError,
     ablate,
     evaluate,
     holdout_split,
     kfold_evaluate,
-    kfold_splits,
     train,
     write_ablation_table,
     write_confusion_csv,
@@ -123,9 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("ablate", help="sweep one knob and tabulate accuracy/loss")
     sp.add_argument("manifest", help="preprocessed dataset manifest")
-    sp.add_argument(
-        "--sweep", required=True, choices=("kernel", "dropout", "attention", "augment")
-    )
+    sp.add_argument("--sweep", required=True, choices=SWEEP_KINDS)
     sp.add_argument(
         "--values",
         required=True,
@@ -159,14 +157,13 @@ _STAGING_MARK = ".staging-"
 
 
 @contextlib.contextmanager
-def _staged(out: str) -> Iterator[tuple[str, list[ManifestEntry]]]:
-    """Yield `(staging directory, manifest entries)` for a dataset bound for
-    `out`. The body writes each file into the staging directory under its
-    final name and appends its entry with the path it will have in `out`.
+def _staged(out: str) -> Iterator[str]:
+    """Yield a staging directory for files bound for `out`; the body writes
+    each file into it under its final name.
 
     When the body returns, the files are renamed into `out` (created if
-    missing; files of the same name are replaced, others kept) and
-    `manifest.csv` is written last. When it raises, the staging directory is
+    missing; files of the same name are replaced, others kept), with
+    `manifest.csv`, if any, last. When it raises, the staging directory is
     removed and `out` is left as it was, and so are its ancestors: any that
     this call created are removed again while they are empty. The staging
     directory sits in `out`'s parent, so every rename stays on one
@@ -181,14 +178,12 @@ def _staged(out: str) -> Iterator[tuple[str, list[ManifestEntry]]]:
         missing = os.path.dirname(missing)
     os.makedirs(parent, exist_ok=True)
     stage = tempfile.mkdtemp(prefix=os.path.basename(out) + _STAGING_MARK, dir=parent)
-    entries: list[ManifestEntry] = []
     done = False
     try:
-        yield stage, entries
+        yield stage
         os.makedirs(out, exist_ok=True)
-        for name in os.listdir(stage):
+        for name in sorted(os.listdir(stage), key=lambda n: n == "manifest.csv"):
             os.replace(os.path.join(stage, name), os.path.join(out, name))
-        save_manifest(DatasetManifest(entries=entries), os.path.join(out, "manifest.csv"))
         done = True
     finally:
         shutil.rmtree(stage, ignore_errors=True)
@@ -202,12 +197,10 @@ def _staged(out: str) -> Iterator[tuple[str, list[ManifestEntry]]]:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    with _staged(args.out) as (stage, entries):
-        for entry in generate_synthetic(cfg.synth, stage):
-            name = os.path.basename(entry.path)
-            entries.append(dataclasses.replace(entry, path=os.path.join(args.out, name)))
+    with _staged(args.out) as stage:
+        manifest = generate_synthetic(cfg.synth, stage)
     print(
-        f"wrote {len(entries)} recordings "
+        f"wrote {len(manifest.entries)} recordings "
         f"({cfg.synth.classes} classes x {cfg.synth.samples_per_class} trials) to {args.out}"
     )
     return 0
@@ -218,7 +211,8 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
     manifest = load_manifest(args.manifest)
     taken: set[str] = set()
     discarded = 0
-    with _staged(args.out) as (stage, entries):
+    entries = []
+    with _staged(args.out) as stage:
         for entry in manifest:
             rec = load_recording(entry.path)
             gated = gate_and_trim(rec, cfg.pipeline.target_np)
@@ -232,13 +226,14 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
                 label=entry.label,
                 normalize_first=cfg.pipeline.normalize_first,
             )
-            name = _unique_stem(entry.path, taken) + ".csp"
-            save_sample(sample, os.path.join(stage, name))
-            entries.append(dataclasses.replace(entry, path=os.path.join(args.out, name)))
+            path = os.path.join(stage, _unique_stem(entry.path, taken) + ".csp")
+            save_sample(sample, path)
+            entries.append(dataclasses.replace(entry, path=path))
         if not entries:
             raise ValueError(
                 f"no recording reached the {cfg.pipeline.target_np}-packet threshold"
             )
+        save_manifest(DatasetManifest(entries=entries), os.path.join(stage, "manifest.csv"))
     print(f"preprocessed {len(entries)} recordings to {args.out} (discarded {discarded})")
     return 0
 
@@ -268,12 +263,14 @@ def cmd_augment(args: argparse.Namespace) -> int:
         for (method, copy, i), grid in augmented(grids, labels, cfg.augment)
     )
     taken: set[str] = set()
-    with _staged(args.out) as (stage, entries):
+    entries = []
+    with _staged(args.out) as stage:
         # Each output is written as soon as it is made; none is held.
         for stem, i, grid in itertools.chain(originals, expanded):
-            name = _unique_stem(stem, taken) + suffix
-            write(i, grid, os.path.join(stage, name))
-            entries.append(dataclasses.replace(base[i], path=os.path.join(args.out, name)))
+            path = os.path.join(stage, _unique_stem(stem, taken) + suffix)
+            write(i, grid, path)
+            entries.append(dataclasses.replace(base[i], path=path))
+        save_manifest(DatasetManifest(entries=entries), os.path.join(stage, "manifest.csv"))
     print(
         f"expanded {len(base)} -> {len(entries)} samples "
         f"({', '.join(m.value for m in cfg.augment.methods)}) to {args.out}"
@@ -298,35 +295,25 @@ def cmd_train(args: argparse.Namespace) -> int:
     samples = _load_samples(manifest)
 
     if args.kfold is not None:
-        # Every fold is checked (and `kfold_evaluate` repeats the cheap split)
-        # so that a bad plan fails before any fold trains.
-        kfold_splits([s.label for s in samples], args.kfold, cfg.train.seed)
         per_fold, mean_accuracy = kfold_evaluate(samples, cfg.model, cfg.train, k=args.kfold)
-        os.makedirs(args.out, exist_ok=True)
-        for fold, metrics in enumerate(per_fold):
-            write_metrics_csv(metrics, os.path.join(args.out, f"fold{fold}_metrics.csv"))
-        write_summary(
-            {
-                "command": "train",
-                "validation_protocol": f"{args.kfold}-fold cross-validation",
-                "mean_val_accuracy": mean_accuracy,
-                "fold_val_accuracy": [m.final_val_accuracy for m in per_fold],
-                "config": run_config_to_dict(cfg),
-            },
-            os.path.join(args.out, "summary.json"),
-        )
+        with _staged(args.out) as stage:
+            for fold, metrics in enumerate(per_fold):
+                write_metrics_csv(metrics, os.path.join(stage, f"fold{fold}_metrics.csv"))
+            write_summary(
+                {
+                    "command": "train",
+                    "validation_protocol": f"{args.kfold}-fold cross-validation",
+                    "mean_val_accuracy": mean_accuracy,
+                    "fold_val_accuracy": [m.final_val_accuracy for m in per_fold],
+                    "config": run_config_to_dict(cfg),
+                },
+                os.path.join(stage, "summary.json"),
+            )
         print(f"k-fold mean validation accuracy: {mean_accuracy:.4f}")
         return 0
 
     train_set, val_set = holdout_split(samples, cfg.train)
     params, metrics = train(train_set, cfg.model, cfg.train, val_set)
-    os.makedirs(args.out, exist_ok=True)
-
-    save_checkpoint(os.path.join(args.out, "checkpoint.ckpt"), params, cfg.model)
-    write_metrics_csv(metrics, os.path.join(args.out, "metrics.csv"))
-    if metrics.confusion is not None:
-        write_confusion_csv(metrics.confusion, os.path.join(args.out, "confusion.csv"))
-    _write_timings(metrics, os.path.join(args.out, "timings.csv"))
     summary = {
         "command": "train",
         "validation_protocol": f"holdout fold 0 of {cfg.train.k_folds}",
@@ -336,7 +323,13 @@ def cmd_train(args: argparse.Namespace) -> int:
         "final_val_accuracy": metrics.val_accuracy[-1] if metrics.val_accuracy else None,
         "config": run_config_to_dict(cfg),
     }
-    write_summary(summary, os.path.join(args.out, "summary.json"))
+    with _staged(args.out) as stage:
+        save_checkpoint(os.path.join(stage, "checkpoint.ckpt"), params, cfg.model)
+        write_metrics_csv(metrics, os.path.join(stage, "metrics.csv"))
+        if metrics.confusion is not None:
+            write_confusion_csv(metrics.confusion, os.path.join(stage, "confusion.csv"))
+        _write_timings(metrics, os.path.join(stage, "timings.csv"))
+        write_summary(summary, os.path.join(stage, "summary.json"))
     if metrics.val_accuracy:
         print(
             f"trained {cfg.train.epochs} epochs on {len(train_set)} samples; "
@@ -353,19 +346,19 @@ def cmd_eval(args: argparse.Namespace) -> int:
     samples = _load_samples(manifest)
     params, model_cfg = load_checkpoint(args.checkpoint)
     accuracy, loss, confusion = evaluate(params, model_cfg, samples, cfg.train.batch_size)
-    os.makedirs(args.out, exist_ok=True)
-    write_confusion_csv(confusion, os.path.join(args.out, "confusion.csv"))
-    write_summary(
-        {
-            "command": "eval",
-            "checkpoint": os.path.basename(args.checkpoint),
-            "samples": len(samples),
-            "accuracy": accuracy,
-            "loss": loss,
-            "model_config": model_config_to_dict(model_cfg),
-        },
-        os.path.join(args.out, "summary.json"),
-    )
+    with _staged(args.out) as stage:
+        write_confusion_csv(confusion, os.path.join(stage, "confusion.csv"))
+        write_summary(
+            {
+                "command": "eval",
+                "checkpoint": os.path.basename(args.checkpoint),
+                "samples": len(samples),
+                "accuracy": accuracy,
+                "loss": loss,
+                "model_config": model_config_to_dict(model_cfg),
+            },
+            os.path.join(stage, "summary.json"),
+        )
     print(f"evaluated {len(samples)} samples: accuracy {accuracy:.4f}, loss {loss:.4f}")
     print(f"confusion matrix ({model_cfg.n_classes}x{model_cfg.n_classes}) written to "
           f"{os.path.join(args.out, 'confusion.csv')}")
@@ -396,8 +389,8 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     if not values:
         raise ValueError("--values is empty")
     rows = ablate(samples, cfg.model, cfg.train, args.sweep, values, cfg.augment)
-    os.makedirs(args.out, exist_ok=True)
-    write_ablation_table(rows, os.path.join(args.out, "ablation.csv"))
+    with _staged(args.out) as stage:
+        write_ablation_table(rows, os.path.join(stage, "ablation.csv"))
     for r in rows:
         print(
             f"{r.sweep}={r.value}: train_acc {r.train_accuracy:.4f} "

@@ -1,5 +1,5 @@
 """Training and evaluation: AdamW with decoupled decay, exponential LR decay,
-mini-batch loop, stratified k-fold plans (fold 0 is the holdout split of
+mini-batch loop, stratified k-fold splits (fold 0 is the holdout split of
 single runs and ablations), metrics, and ablation sweeps.
 
 Training is bitwise deterministic for fixed (dataset, configs, seed): all
@@ -108,13 +108,12 @@ __all__ = [
     "TrainConfig",
     "AdamWState",
     "Metrics",
-    "KFoldPlan",
     "AblationRow",
+    "SWEEP_KINDS",
     "adamw_step",
     "lr_at_epoch",
     "evaluate",
     "train",
-    "kfold_plan",
     "holdout_split",
     "kfold_evaluate",
     "kfold_splits",
@@ -249,9 +248,7 @@ def _eval_arrays(
         probs = model_forward(data[idx], params, model_cfg, training=False)
         loss = cross_entropy_mean(probs, labels[idx])
         loss_sum += float(loss.data) * len(idx)
-        predicted = probs.data.argmax(axis=1)
-        for true, pred in zip(labels[idx], predicted):
-            confusion[true, pred] += 1
+        np.add.at(confusion, (labels[idx], probs.data.argmax(axis=1)), 1)
     accuracy = float(np.trace(confusion)) / n
     return accuracy, loss_sum / n, confusion
 
@@ -349,64 +346,45 @@ def train(
 # K-fold cross-validation
 
 
-@dataclass
-class KFoldPlan:
-    k: int
-    folds: list[np.ndarray]
-    seed: int
+def kfold_splits(labels: Sequence[int], k: int, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(training, validation) indices of every fold of a stratified plan:
+    each class is shuffled, then dealt round-robin from fold 0, which keeps
+    per-fold class counts within one sample of exact proportionality.
 
-    def train_indices(self, fold: int) -> np.ndarray:
-        rest = [f for i, f in enumerate(self.folds) if i != fold]
-        return np.sort(np.concatenate(rest))
-
-
-def kfold_plan(labels: Sequence[int], k: int = 10, seed: int = 0) -> KFoldPlan:
-    """Stratified partition: each class is shuffled then dealt round-robin,
-    keeping per-fold class counts within one sample of exact proportionality."""
+    Every training split is checked before returning, so a class missing
+    from one raises before anything is trained or written. A class lands
+    whole in one fold only when it has a single sample, and then in fold 0.
+    """
     labels = np.asarray(labels)
     n = len(labels)
     if k < 2:
         raise ValueError("k must be >= 2")
     if k > n:
         raise ValueError(f"cannot split {n} samples into {k} folds")
-    buckets: list[list[int]] = [[] for _ in range(k)]
-    for c in np.unique(labels):
+    classes = np.unique(labels)
+    fold_of = np.empty(n, dtype=np.int64)
+    for c in classes:
         idx = np.flatnonzero(labels == c)
-        rng = named_rng(seed, "kfold", int(c))
-        idx = idx[rng.permutation(len(idx))]
-        for i, j in enumerate(idx):
-            buckets[i % k].append(int(j))
-    return KFoldPlan(k=k, folds=[np.array(sorted(b), dtype=np.int64) for b in buckets], seed=seed)
+        idx = idx[named_rng(seed, "kfold", int(c)).permutation(len(idx))]
+        fold_of[idx] = np.arange(len(idx)) % k
+    splits = []
+    for fold in range(k):
+        train_idx = np.flatnonzero(fold_of != fold)
+        missing = np.setdiff1d(classes, labels[train_idx])
+        if len(missing):
+            raise ValueError(f"class {missing[0]} absent from the training split of fold {fold}")
+        splits.append((train_idx, np.flatnonzero(fold_of == fold)))
+    return splits
 
 
 def holdout_split(
     dataset: Sequence[PreprocessedSample], train_cfg: TrainConfig
 ) -> tuple[list[PreprocessedSample], list[PreprocessedSample]]:
-    """(training split, validation split): fold 0 of the stratified
-    `train_cfg.k_folds` plan is held out. Raises, like `kfold_evaluate`, when
-    the training split misses a class."""
-    labels = _labels(dataset)
-    plan = kfold_plan(labels, k=train_cfg.k_folds, seed=train_cfg.seed)
-    train_idx = _fold_train_indices(plan, labels, 0)
-    return [dataset[i] for i in train_idx], [dataset[i] for i in plan.folds[0]]
-
-
-def _fold_train_indices(plan: KFoldPlan, labels: np.ndarray, fold: int) -> np.ndarray:
-    """Training indices of `fold`; raises when they miss a class of `labels`."""
-    train_idx = plan.train_indices(fold)
-    missing = np.setdiff1d(np.unique(labels), labels[train_idx])
-    if len(missing):
-        raise ValueError(f"class {missing[0]} absent from the training split of fold {fold}")
-    return train_idx
-
-
-def kfold_splits(labels: Sequence[int], k: int, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(training, validation) indices of every fold of the stratified plan.
-    Checks every fold before returning, so a class missing from any training
-    split raises before anything is trained or written."""
-    labels = np.asarray(labels)
-    plan = kfold_plan(labels, k=k, seed=seed)
-    return [(_fold_train_indices(plan, labels, fold), plan.folds[fold]) for fold in range(k)]
+    """(training split, validation split): fold 0 of `kfold_splits` over
+    `train_cfg.k_folds` folds, which raises, like `kfold_evaluate`, when a
+    training split misses a class."""
+    train_idx, val_idx = kfold_splits(_labels(dataset), train_cfg.k_folds, train_cfg.seed)[0]
+    return [dataset[i] for i in train_idx], [dataset[i] for i in val_idx]
 
 
 def kfold_evaluate(
@@ -416,7 +394,8 @@ def kfold_evaluate(
     k: int = 10,
 ) -> tuple[list[Metrics], float]:
     """Train k models, each validated on its held-out fold; returns per-fold
-    metrics and the arithmetic mean of the final validation accuracies."""
+    metrics and the arithmetic mean of the final validation accuracies.
+    Every fold is split and checked before the first one trains."""
     labels = _labels(dataset)
     per_fold: list[Metrics] = []
     for train_idx, val_idx in kfold_splits(labels, k, train_cfg.seed):
@@ -442,7 +421,7 @@ class AblationRow:
     val_loss: float
 
 
-_SWEEP_KINDS = ("kernel", "dropout", "attention", "augment")
+SWEEP_KINDS = ("kernel", "dropout", "attention", "augment")
 
 
 def ablate(
@@ -459,8 +438,8 @@ def ablate(
     expands only the training split. Values for `augment` are "none" or
     "+"-joined method names (e.g. "dropout+mix_same").
     """
-    if sweep not in _SWEEP_KINDS:
-        raise ValueError(f"unknown sweep {sweep!r}, expected one of {_SWEEP_KINDS}")
+    if sweep not in SWEEP_KINDS:
+        raise ValueError(f"unknown sweep {sweep!r}, expected one of {SWEEP_KINDS}")
     base_train, val_set = holdout_split(dataset, train_cfg)
 
     rows = []

@@ -366,29 +366,47 @@ def test_truncated_recording_fails_preprocess_without_output(tmp_path, capsys):
 
 
 def _fail_on_call(monkeypatch, name: str, n: int) -> None:
-    """Make `cli.<name>` raise OSError on its n-th call."""
+    """Make `cli.<name>` raise OSError on its n-th call and every later one."""
     real = getattr(cli, name)
     calls = []
 
     def flaky(*args):
         calls.append(1)
-        if len(calls) == n:
+        if len(calls) >= n:
             raise OSError(f"disk full at write {n}")
         real(*args)
 
     monkeypatch.setattr(cli, name, flaky)
 
 
+@pytest.fixture(scope="module")
+def checkpoint(workspace):
+    root, cfg = workspace
+    run = root / "run"
+    assert main(["train", str(root / "prep" / "manifest.csv"), "--config", str(cfg), "--out", str(run)]) == 0
+    return str(run / "checkpoint.ckpt")
+
+
+# (writer, call to fail at, command with paths under the workspace): a write
+# midway through each dataset, and the last write of train, eval and ablate.
 WRITE_STEPS = [
-    ("save_sample", ["augment", "prep/manifest.csv", "--stage", "post"]),
-    ("save_recording", ["augment", "raw/manifest.csv", "--stage", "pre"]),
-    ("save_sample", ["preprocess", "raw/manifest.csv"]),
+    ("save_sample", 5, ["augment", "prep/manifest.csv", "--stage", "post"]),
+    ("save_recording", 5, ["augment", "raw/manifest.csv", "--stage", "pre"]),
+    ("save_sample", 5, ["preprocess", "raw/manifest.csv"]),
+    ("write_summary", 1, ["train", "prep/manifest.csv"]),
+    ("write_summary", 1, ["train", "prep/manifest.csv", "--kfold", "2"]),
+    ("write_summary", 1, ["eval", "prep/manifest.csv", "--checkpoint", "run/checkpoint.ckpt"]),
+    ("write_ablation_table", 1, ["ablate", "prep/manifest.csv", "--sweep", "kernel", "--values", "2"]),
 ]
 
 
 @pytest.mark.parametrize("existing", [False, True])
-@pytest.mark.parametrize("writer, argv", WRITE_STEPS)
-def test_write_failure_leaves_out_as_it_was(workspace, tmp_path, monkeypatch, capsys, writer, argv, existing):
+@pytest.mark.parametrize(
+    "writer, n, argv", WRITE_STEPS, ids=["augment_post", "augment_pre", "preprocess", "train", "kfold", "eval", "ablate"]
+)
+def test_write_failure_leaves_out_as_it_was(
+    workspace, checkpoint, tmp_path, monkeypatch, capsys, writer, n, argv, existing
+):
     root, cfg = workspace
     out = tmp_path / "out"
     if existing:
@@ -396,11 +414,12 @@ def test_write_failure_leaves_out_as_it_was(workspace, tmp_path, monkeypatch, ca
         (out / "keep.txt").write_text("kept")
         (out / "manifest.csv").write_text("old\n")
     before = tree_digest(out)
-    _fail_on_call(monkeypatch, writer, 5)
-    code = main([argv[0], str(root / argv[1]), *argv[2:], "--config", str(cfg), "--out", str(out)])
+    _fail_on_call(monkeypatch, writer, n)
+    argv = [argv[0], *(str(root / a) if "/" in a else a for a in argv[1:])]
+    code = main(argv + ["--config", str(cfg), "--out", str(out)])
     assert code == 1
     err = capsys.readouterr().err
-    assert err == "error: disk full at write 5\n"
+    assert err == f"error: disk full at write {n}\n"
     assert out.exists() == existing and tree_digest(out) == before
     assert [p.name for p in tmp_path.iterdir()] == (["out"] if existing else [])
 
@@ -517,22 +536,34 @@ def test_synth_overflow_writes_no_output_directory(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
 
 
-@pytest.mark.parametrize("command", ["synth", "preprocess", "augment"])
-def test_failure_removes_the_parents_it_created(workspace, tmp_path, monkeypatch, capsys, command):
+@pytest.mark.parametrize("command", ["synth", "preprocess", "augment", "train", "kfold", "eval", "ablate"])
+def test_failure_removes_the_parents_it_created(workspace, checkpoint, tmp_path, monkeypatch, capsys, command):
     """A failed staged command removes the missing parents of `--out` it
     made, and only those: an existing parent stays, and so does a created one
     that something else has written into by then."""
     root, cfg = workspace
     raw_manifest = str(root / "raw" / "manifest.csv")
+    prep_manifest = str(root / "prep" / "manifest.csv")
     if command == "augment":  # every input has label 0: no donor for mix_other
         one_label = tmp_path / "one_label.csv"
         entries = [e for e in load_manifest(raw_manifest) if e.label == 0]
         save_manifest(DatasetManifest(entries=entries), one_label)
-    argv = {
-        "synth": ["synth", "--set", "synth.base_amplitude=200"],
-        "preprocess": ["preprocess", raw_manifest, "--set", "pipeline.target_np=1500"],
-        "augment": ["augment", str(tmp_path / "one_label.csv"), "--stage", "pre", "--set", 'augment.methods=["mix_other"]'],
-    }[command] + ["--config", str(cfg), "--out", str(tmp_path / "kept" / "deep" / "er" / "out")]
+    # The first three fail on their input; the others at their last write.
+    argv, writer = {
+        "synth": (["synth", "--set", "synth.base_amplitude=200"], None),
+        "preprocess": (["preprocess", raw_manifest, "--set", "pipeline.target_np=1500"], None),
+        "augment": (
+            ["augment", str(tmp_path / "one_label.csv"), "--stage", "pre", "--set", 'augment.methods=["mix_other"]'],
+            None,
+        ),
+        "train": (["train", prep_manifest], "write_summary"),
+        "kfold": (["train", prep_manifest, "--kfold", "2"], "write_summary"),
+        "eval": (["eval", prep_manifest, "--checkpoint", checkpoint], "write_summary"),
+        "ablate": (["ablate", prep_manifest, "--sweep", "kernel", "--values", "2"], "write_ablation_table"),
+    }[command]
+    if writer is not None:
+        _fail_on_call(monkeypatch, writer, 1)
+    argv += ["--config", str(cfg), "--out", str(tmp_path / "kept" / "deep" / "er" / "out")]
     (tmp_path / "kept").mkdir()
     assert main(argv) == 1
     assert list((tmp_path / "kept").iterdir()) == []
@@ -646,6 +677,18 @@ def test_ablate_table(workspace, tmp_path):
     lines = (out / "ablation.csv").read_text().strip().splitlines()
     assert lines[0] == "sweep,value,train_accuracy,val_accuracy,train_loss,val_loss"
     assert len(lines) == 3
+
+
+def test_unknown_sweep_is_rejected_before_anything_loads(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "load_manifest", lambda path: pytest.fail("loaded the manifest"))
+    out = tmp_path / "abl"
+    with pytest.raises(SystemExit) as exc:
+        main(["ablate", "manifest.csv", "--sweep", "depth", "--values", "2", "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --sweep: invalid choice" in err and "depth" in err
+    assert all(kind in err for kind in train_mod.SWEEP_KINDS)
+    assert not out.exists()
 
 
 def test_missing_manifest_fails_cleanly(capsys):

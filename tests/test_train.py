@@ -1,7 +1,10 @@
+import contextlib
+import itertools
 import math
 import os
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -20,7 +23,7 @@ from csi_tcn.train import (
     evaluate,
     holdout_split,
     kfold_evaluate,
-    kfold_plan,
+    kfold_splits,
     lr_at_epoch,
     train,
 )
@@ -129,37 +132,88 @@ class TestLearningRate:
         assert all(a > b for a, b in zip(rates, rates[1:]))
 
 
+def _reference_folds(labels, k, seed):
+    """The stratified deal written out: each class shuffled, then dealt to
+    folds 0, 1, ... in turn."""
+    buckets = [[] for _ in range(k)]
+    for c in sorted(set(labels)):
+        idx = np.array([i for i, label in enumerate(labels) if label == c])
+        for j, i in enumerate(idx[named_rng(seed, "kfold", c).permutation(len(idx))]):
+            buckets[j % k].append(int(i))
+    return [sorted(b) for b in buckets]
+
+
 class TestKFold:
     def test_balanced_four_sample_split(self):
-        plan = kfold_plan([0, 0, 1, 1], k=2, seed=0)
-        assert sorted(len(f) for f in plan.folds) == [2, 2]
         labels = np.array([0, 0, 1, 1])
-        for fold in plan.folds:
+        folds = [val for _, val in kfold_splits(labels, 2, 0)]
+        assert sorted(len(f) for f in folds) == [2, 2]
+        for fold in folds:
             assert sorted(labels[fold]) == [0, 1]
 
     def test_partition(self):
         labels = [i % 3 for i in range(25)]
-        plan = kfold_plan(labels, k=4, seed=1)
-        joined = np.sort(np.concatenate(plan.folds))
+        splits = kfold_splits(labels, 4, 1)
+        joined = np.sort(np.concatenate([val for _, val in splits]))
         assert np.array_equal(joined, np.arange(25))
+        for train_idx, val_idx in splits:
+            assert np.array_equal(np.sort(np.concatenate([train_idx, val_idx])), np.arange(25))
 
     def test_stratification_within_one(self):
-        labels = [i % 4 for i in range(43)]
-        plan = kfold_plan(labels, k=5, seed=2)
-        labels = np.array(labels)
+        labels = np.array([i % 4 for i in range(43)])
+        folds = [val for _, val in kfold_splits(labels, 5, 2)]
         for c in range(4):
-            counts = [int(np.sum(labels[f] == c)) for f in plan.folds]
+            counts = [int(np.sum(labels[f] == c)) for f in folds]
             assert max(counts) - min(counts) <= 1
 
     def test_too_many_folds_rejected(self):
-        with pytest.raises(ValueError, match="folds"):
-            kfold_plan([0, 1, 0], k=4, seed=0)
+        with pytest.raises(ValueError, match="^cannot split 3 samples into 4 folds$"):
+            kfold_splits([0, 1, 0], 4, 0)
 
     def test_all_classes_in_every_training_split_when_count_at_least_k(self):
         labels = np.array([c for c in range(3) for _ in range(5)])
-        plan = kfold_plan(labels, k=5, seed=3)
-        for fold in range(5):
-            assert set(labels[plan.train_indices(fold)]) == {0, 1, 2}
+        for train_idx, _ in kfold_splits(labels, 5, 3):
+            assert set(labels[train_idx]) == {0, 1, 2}
+
+    def test_only_fold_0_can_miss_a_class_and_only_a_single_sample_one(self):
+        # Every label sequence over 3 classes of 2..6 samples, for every k:
+        # the folds are the reference deal's, and a training split misses a
+        # class exactly when the class has one sample, which fold 0 holds.
+        for n in range(2, 7):
+            for labels in itertools.product(range(3), repeat=n):
+                singles = sorted(c for c in set(labels) if labels.count(c) == 1)
+                for k in range(2, n + 1):
+                    ref = _reference_folds(labels, k, seed=k)
+                    misses = [
+                        (j, c)
+                        for j, fold in enumerate(ref)
+                        for c in sorted(set(labels))
+                        if all(i in fold for i in range(n) if labels[i] == c)
+                    ]
+                    assert misses == [(0, c) for c in singles]
+                    if singles:
+                        message = f"^class {singles[0]} absent from the training split of fold 0$"
+                        with pytest.raises(ValueError, match=message):
+                            kfold_splits(labels, k, seed=k)
+                    else:
+                        assert [val.tolist() for _, val in kfold_splits(labels, k, seed=k)] == ref
+
+    def test_holdout_split_is_fold_0(self):
+        rng = np.random.default_rng(0)
+        for _ in range(40):
+            k, n_classes = int(rng.integers(2, 7)), int(rng.integers(2, 5))
+            labels = rng.integers(n_classes, size=int(rng.integers(k, 40)))
+            seed = int(rng.integers(1000))
+            dataset = [PreprocessedSample(data=np.full((1, 2, 1), float(i)), label=int(c)) for i, c in enumerate(labels)]
+            try:
+                train_idx, val_idx = kfold_splits(labels, k, seed)[0]
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=f"^{exc}$"):
+                    holdout_split(dataset, TrainConfig(k_folds=k, seed=seed))
+                continue
+            train_set, val_set = holdout_split(dataset, TrainConfig(k_folds=k, seed=seed))
+            assert [int(s.data[0, 0, 0]) for s in train_set] == train_idx.tolist()
+            assert [int(s.data[0, 0, 0]) for s in val_set] == val_idx.tolist()
 
     def test_class_absent_from_training_split(self, small_dataset):
         # add one orphan class: with k=2 its single sample leaves one split
@@ -173,7 +227,7 @@ class TestKFold:
             )
 
     def test_holdout_split_rejects_a_class_missing_from_training(self):
-        # kfold_plan deals each class round-robin from fold 0, so the lone
+        # kfold_splits deals each class round-robin from fold 0, so the lone
         # class-2 sample is all of its class and lands in validation.
         labels = [0, 0, 0, 0, 1, 1, 1, 1, 2]
         dataset = [PreprocessedSample(data=np.full((1, 2, 1), float(k)), label=c) for k, c in enumerate(labels)]
@@ -394,6 +448,62 @@ class TestBlasPin:
             with train_mod._single_threaded_blas():
                 pass
         assert calls == [1, 4]
+
+    @staticmethod
+    def _fake_threadpoolctl(monkeypatch, counts, read_back=1):
+        """Install a threadpoolctl whose BLAS controller holds libraries with
+        `counts` threads and whose `limit` sets each to `read_back`."""
+        libs = [types.SimpleNamespace(num_threads=n) for n in counts]
+
+        class Controller:
+            lib_controllers = libs
+
+            def select(self, user_api):
+                assert user_api == "blas"
+                return self
+
+            @contextlib.contextmanager
+            def limit(self, limits):
+                assert limits == 1
+                before = [lib.num_threads for lib in libs]
+                for lib in libs:
+                    lib.num_threads = read_back
+                try:
+                    yield
+                finally:
+                    for lib, n in zip(libs, before):
+                        lib.num_threads = n
+
+        monkeypatch.setattr(train_mod, "threadpoolctl", types.SimpleNamespace(ThreadpoolController=Controller))
+        return libs
+
+    def test_threadpoolctl_pin_reads_one_inside_and_restores_after(self, monkeypatch):
+        libs = self._fake_threadpoolctl(monkeypatch, [4, 2])
+        monkeypatch.setattr(train_mod, "_openblas_thread_functions", lambda: pytest.fail("took the ctypes route"))
+        with train_mod._single_threaded_blas():
+            assert [lib.num_threads for lib in libs] == [1, 1]
+        assert [lib.num_threads for lib in libs] == [4, 2]
+
+    def test_threadpoolctl_pin_that_does_not_read_back_is_an_error(self, monkeypatch):
+        libs = self._fake_threadpoolctl(monkeypatch, [4, 2], read_back=3)
+        with pytest.raises(train_mod.BlasPinError, match=r"^BLAS thread counts read back as \[3, 3\] after pinning to 1$"):
+            with train_mod._single_threaded_blas():
+                pytest.fail("ran the block under an unverified pin")
+        assert [lib.num_threads for lib in libs] == [4, 2]
+
+    def test_threadpoolctl_without_blas_falls_through_to_ctypes(self, monkeypatch):
+        self._fake_threadpoolctl(monkeypatch, [])
+        threads = [3]
+        calls = []
+
+        def set_(n):
+            calls.append(n)
+            threads[0] = n
+
+        monkeypatch.setattr(train_mod, "_openblas_thread_functions", lambda: (lambda: threads[0], set_))
+        with train_mod._single_threaded_blas():
+            assert threads == [1]
+        assert calls == [1, 3] and threads == [3]
 
     def test_stock_step_independent_of_blas_threads(self):
         # One stock-shape step (T=375, 50 filters, kernel 15) on 2 samples,
