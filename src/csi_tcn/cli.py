@@ -219,13 +219,7 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
             if gated is None:
                 discarded += 1
                 continue
-            sample = preprocess(
-                gated,
-                cfg.filter,
-                cfg.wavelet,
-                label=entry.label,
-                normalize_first=cfg.pipeline.normalize_first,
-            )
+            sample = preprocess(gated, cfg.filter, cfg.wavelet, label=entry.label)
             path = os.path.join(stage, _unique_stem(entry.path, taken) + ".csp")
             save_sample(sample, path)
             entries.append(dataclasses.replace(entry, path=path))

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .augment import AugmentConfig
-from .csi_data import ClassSignature, SyntheticSpec
+from .csi_data import SyntheticSpec
 from .dsp import FilterSpec, WaveletSpec
 from .model import ModelConfig, model_config_to_dict
 from .train import TrainConfig
@@ -33,10 +33,9 @@ class ConfigError(ValueError):
 
 @dataclass
 class PipelineConfig:
-    """Knobs of the preprocess command that sit outside the DSP specs."""
+    """The preprocess command's one setting outside the DSP specs."""
 
     target_np: int = 1500  # packet-count gate/trim threshold
-    normalize_first: bool = True  # False: filter before normalizing
 
     def __post_init__(self) -> None:
         if self.target_np < 1:
@@ -97,11 +96,8 @@ def _build_section(name: str, cls, provided: dict):
     for key in provided:
         if key not in known:
             raise ConfigError(f"unknown config key: {name}.{key}")
-    values = dict(provided)
-    if name == "synth" and values.get("signatures") is not None:
-        values["signatures"] = [ClassSignature(**sig) for sig in values["signatures"]]
     try:
-        return cls(**values)
+        return cls(**provided)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid config section {name!r}: {exc}") from exc
 

@@ -243,13 +243,13 @@ class DatasetManifest:
     def __post_init__(self) -> None:
         self.validate()
 
-    def validate(self, n_classes: int = N_CLASSES) -> None:
+    def validate(self) -> None:
         seen: set[str] = set()
         for e in self.entries:
             if e.path in seen:
                 raise ValueError(f"duplicate manifest path: {e.path}")
             seen.add(e.path)
-            check_label(e.label, n_classes)
+            check_label(e.label, N_CLASSES)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -313,10 +313,12 @@ class ClassSignature:
 class SyntheticSpec:
     """Parameters of the synthetic CSI source.
 
-    Each class gets a distinct amplitude-modulation signature (sinusoid
-    frequency, optional chirp/burst, optional static subcarrier gain profile);
-    trials add seeded noise and, when enabled, per-trial scale/phase jitter.
-    Generation is a pure function of this spec.
+    Each class gets a distinct amplitude-modulation signature derived from
+    its index (`signature`): a sinusoid frequency spaced evenly over
+    [freq_min, freq_max], a chirp up to `chirp_max`, a burst position and a
+    static subcarrier gain profile. Trials add seeded noise and, when
+    enabled, per-trial scale/phase jitter. Generation is a pure function of
+    this spec.
     """
 
     classes: int = N_CLASSES
@@ -336,7 +338,6 @@ class SyntheticSpec:
     scale_jitter: float = 0.0  # per-trial amplitude scale ~ U(1-j, 1+j)
     phase_jitter: float = 0.0  # per-trial envelope phase, fraction of a cycle
     seed: int = 0
-    signatures: Optional[Sequence[ClassSignature]] = None
 
     def __post_init__(self) -> None:
         if not 2 <= self.classes <= N_CLASSES:
@@ -346,16 +347,9 @@ class SyntheticSpec:
         for name in ("n_t", "n_r", "n_p", "n_s"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.signatures is not None and len(self.signatures) != self.classes:
-            raise ValueError("signatures length must match classes")
 
     def signature(self, class_id: int) -> ClassSignature:
-        if self.signatures is not None:
-            return self.signatures[class_id]
-        if self.classes > 1:
-            frac = class_id / (self.classes - 1)
-        else:
-            frac = 0.0
+        frac = class_id / (self.classes - 1)
         return ClassSignature(
             freq=self.freq_min + frac * (self.freq_max - self.freq_min),
             chirp=frac * self.chirp_max,

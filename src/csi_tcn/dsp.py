@@ -1,5 +1,6 @@
-"""Preprocessing chain: per-pair min-max normalization, Butterworth low-pass
-filtering along time, and repeated single-level Haar DWT downsampling.
+"""Preprocessing chain: per-pair min-max normalization, causal Butterworth
+low-pass filtering along time, and repeated single-level Haar DWT
+downsampling, always in that order.
 
 With the defaults (two DWT levels) a 1500-packet recording becomes a
 (pairs, 375, subcarriers) float tensor.
@@ -52,7 +53,6 @@ class FilterSpec:
 
     order: int = 5
     cutoff: float = 0.1
-    zero_phase: bool = False  # forward-backward filtering instead of causal
 
     def __post_init__(self) -> None:
         if self.order < 1:
@@ -160,20 +160,10 @@ def _lowpass(order: int, cutoff: float) -> IirCoefficients:
     return coeffs
 
 
-def apply_filter(
-    x: np.ndarray,
-    coeffs: IirCoefficients,
-    axis: int = -1,
-    zero_phase: bool = False,
-) -> np.ndarray:
-    """Run the IIR recursion along `axis` with zero initial state.
-
-    Default is a single causal pass; `zero_phase=True` selects the
-    forward-backward variant (non-causal, squared magnitude response).
-    """
+def apply_filter(x: np.ndarray, coeffs: IirCoefficients, axis: int = -1) -> np.ndarray:
+    """Run the IIR recursion along `axis` with zero initial state: one causal
+    pass, so no output sample depends on a later input."""
     x = np.asarray(x, dtype=np.float64)
-    if zero_phase:
-        return _signal.filtfilt(coeffs.b, coeffs.a, x, axis=axis)
     return _signal.lfilter(coeffs.b, coeffs.a, x, axis=axis)
 
 
@@ -203,14 +193,12 @@ def preprocess(
     filt: FilterSpec | None = None,
     wav: WaveletSpec | None = None,
     label: Optional[int] = None,
-    normalize_first: bool = True,
 ) -> PreprocessedSample:
-    """Full chain: amplitude -> per-pair normalize -> low-pass along time ->
-    `wav.levels` Haar approximations along time.
+    """Full chain: amplitude -> per-pair normalize -> causal low-pass along
+    time -> `wav.levels` Haar approximations along time.
 
-    `normalize_first=False` swaps the first two stages (ablation knob). The
-    recording is expected to be gated/trimmed already; the packet count must
-    be divisible by 2**levels.
+    The recording is expected to be gated/trimmed already; the packet count
+    must be divisible by 2**levels.
     """
     filt = filt or FilterSpec()
     wav = wav or WaveletSpec()
@@ -225,11 +213,8 @@ def preprocess(
     halves = (pair[: n_p // 2], pair[n_p // 2 :])
     for p in range(rec.n_pairs):
         _magnitude_into(rec.data[p], pair)
-        if normalize_first:
-            _minmax_in_place(pair)
-        x = apply_filter(pair, coeffs, axis=0, zero_phase=filt.zero_phase)
-        if not normalize_first:
-            _minmax_in_place(x)
+        _minmax_in_place(pair)
+        x = apply_filter(pair, coeffs, axis=0)
         for level in range(wav.levels):
             dst = out[p] if level == wav.levels - 1 else halves[level % 2][: len(x) // 2]
             x = _haar_into(x, dst)

@@ -57,7 +57,7 @@ def tiny_model_config() -> ModelConfig:
     )
 
 
-def run_battery(include_model: bool = True) -> list[BatteryRow]:
+def run_battery() -> list[BatteryRow]:
     rng = np.random.default_rng(20240901)
     rows: list[BatteryRow] = []
 
@@ -180,14 +180,13 @@ def run_battery(include_model: bool = True) -> list[BatteryRow]:
         [logits_b],
     )
 
-    if include_model:
-        cfg = tiny_model_config()
-        params = init_model(cfg, np.random.default_rng(7))
-        x = np.random.default_rng(8).standard_normal((1, 2, 16, cfg.in_features))
+    cfg = tiny_model_config()
+    params = init_model(cfg, np.random.default_rng(7))
+    x = np.random.default_rng(8).standard_normal((1, 2, 16, cfg.in_features))
 
-        def model_loss(*_):
-            probs = model_forward(x, params, cfg, training=False)
-            return T.cross_entropy_mean(probs, np.array([3]))
+    def model_loss(*_):
+        probs = model_forward(x, params, cfg, training=False)
+        return T.cross_entropy_mean(probs, np.array([3]))
 
-        check("full_model_loss", model_loss, list(params.named().values()), MODEL_TOLERANCE)
+    check("full_model_loss", model_loss, list(params.named().values()), MODEL_TOLERANCE)
     return rows

@@ -300,9 +300,7 @@ def relu(a: Tensor) -> Tensor:
     return _make(data, (a,), backward_fn, "relu")
 
 
-def transpose(a: Tensor, axes: Optional[Sequence[int]] = None) -> Tensor:
-    if axes is None:
-        axes = tuple(reversed(range(a.ndim)))
+def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
     axes = tuple(axes)
     inverse = tuple(np.argsort(axes))
     data = np.transpose(a.data, axes)
@@ -347,15 +345,12 @@ def sum_over(a: Tensor, axis: Optional[int] = None) -> Tensor:
     return _make(data, (a,), backward_fn, "sum")
 
 
-def mean_over_axis(a: Tensor, axis: Optional[int] = None) -> Tensor:
-    n = a.size if axis is None else a.shape[axis]
+def mean_over_axis(a: Tensor, axis: int) -> Tensor:
+    n = a.shape[axis]
     data = a.data.mean(axis=axis)
 
     def backward_fn(g):
-        if axis is None:
-            _accumulate(a, np.broadcast_to(g / n, a.shape).copy())
-        else:
-            _accumulate(a, np.broadcast_to(np.expand_dims(g, axis) / n, a.shape).copy())
+        _accumulate(a, np.broadcast_to(np.expand_dims(g, axis) / n, a.shape).copy())
 
     return _make(data, (a,), backward_fn, "mean")
 

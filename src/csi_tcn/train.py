@@ -395,10 +395,17 @@ def kfold_evaluate(
 ) -> tuple[list[Metrics], float]:
     """Train k models, each validated on its held-out fold; returns per-fold
     metrics and the arithmetic mean of the final validation accuracies.
-    Every fold is split and checked before the first one trains."""
+    Every fold is split and checked before the first one trains: each
+    training split holds every class and no validation split is empty."""
     labels = _labels(dataset)
+    splits = kfold_splits(labels, k, train_cfg.seed)
+    for fold, (_, val_idx) in enumerate(splits):
+        if not len(val_idx):
+            raise ValueError(
+                f"validation split of fold {fold} is empty: {k} folds exceed every class's sample count"
+            )
     per_fold: list[Metrics] = []
-    for train_idx, val_idx in kfold_splits(labels, k, train_cfg.seed):
+    for train_idx, val_idx in splits:
         train_set = [dataset[i] for i in train_idx]
         val_set = [dataset[i] for i in val_idx]
         _, metrics = train(train_set, model_cfg, train_cfg, val_set)

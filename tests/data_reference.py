@@ -50,17 +50,11 @@ def preprocess(
     filt: FilterSpec | None = None,
     wav: WaveletSpec | None = None,
     label: Optional[int] = None,
-    normalize_first: bool = True,
 ) -> PreprocessedSample:
     filt = filt or FilterSpec()
     wav = wav or WaveletSpec()
     b, a = signal.butter(filt.order, filt.cutoff, btype="low", output="ba")
-    run_filter = signal.filtfilt if filt.zero_phase else signal.lfilter
-    x = amplitude(rec)
-    if normalize_first:
-        x = run_filter(b, a, minmax_normalize(x), axis=1)
-    else:
-        x = minmax_normalize(run_filter(b, a, x, axis=1))
+    x = signal.lfilter(b, a, minmax_normalize(amplitude(rec)), axis=1)
     for _ in range(wav.levels):
         x = dwt_approx(x)
     return PreprocessedSample(data=x, label=label)

@@ -210,7 +210,7 @@ def test_criterion_2_receptive_field():
 
 def test_criterion_3_gradient_checks():
     started = time.perf_counter()
-    rows = run_battery(include_model=True)
+    rows = run_battery()
     for row in rows:
         assert row.error < row.tolerance, f"{row.name}: {row.error:.3e} >= {row.tolerance:.0e}"
     primitive_worst = max(r.error for r in rows if r.tolerance == PRIMITIVE_TOLERANCE)

@@ -7,6 +7,7 @@ import pytest
 from csi_tcn import cli
 from csi_tcn import train as train_mod
 from csi_tcn.cli import main
+from csi_tcn.config import RunConfig, load_run_config, run_config_to_dict
 from csi_tcn.csi_data import DatasetManifest, load_manifest, save_manifest
 
 CONFIG = {
@@ -245,7 +246,16 @@ def test_unknown_config_key_names_it(workspace, capsys):
 
 
 @pytest.mark.parametrize(
-    "override", ["model.layers=3", "model.dilations=[1,2]", "wavelet.family=haar", "train.shuffle=false"]
+    "override",
+    [
+        "model.layers=3",
+        "model.dilations=[1,2]",
+        "wavelet.family=haar",
+        "train.shuffle=false",
+        "filter.zero_phase=true",
+        "pipeline.normalize_first=false",
+        "synth.signatures=null",
+    ],
 )
 def test_removed_config_keys_are_unknown(workspace, tmp_path, capsys, override):
     root, cfg = workspace
@@ -255,6 +265,35 @@ def test_removed_config_keys_are_unknown(workspace, tmp_path, capsys, override):
     key = override.split("=", 1)[0]
     assert capsys.readouterr().err == f"error: unknown config key: {key}\n"
     assert not out.exists()
+
+
+SETTABLE_KEYS = ["seed"] + [
+    f"{section}.{name}"
+    for section, names in {
+        "synth": "classes samples_per_class n_t n_r n_p n_s freq_min freq_max mod_depth profile_depth "
+        "burst_depth chirp_max base_amplitude noise_amp scale_jitter phase_jitter seed",
+        "filter": "order cutoff",
+        "wavelet": "levels",
+        "pipeline": "target_np",
+        "augment": "dropout_lambda_max mix_epsilon_max methods copies_per_method seed",
+        "model": "filters kernel dropout attention_placement mask_mode residual d_k n_classes in_features",
+        "train": "batch_size epochs base_lr lr_decay weight_decay seed k_folds",
+    }.items()
+    for name in names.split()
+]
+
+
+def test_run_config_has_43_settable_keys():
+    # A setting added or removed shows up here; each key is set through
+    # `--set` to its default and must give back the same config.
+    defaults = run_config_to_dict(RunConfig())
+    flat = {"seed": defaults["seed"]}
+    for section, values in defaults.items():
+        if section != "seed":
+            flat.update({f"{section}.{k}": v for k, v in values.items()})
+    assert list(flat) == SETTABLE_KEYS and len(flat) == 43
+    for key, value in flat.items():
+        assert run_config_to_dict(load_run_config(overrides=[f"{key}={json.dumps(value)}"])) == defaults
 
 
 @pytest.mark.parametrize("filters", ["[4,0,0]", "[4,0,4]"])
@@ -455,18 +494,20 @@ def test_holdout_missing_class_fails_before_output(workspace, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "k, message",
+    "counts, k, message",
     [
-        ("3", "class 2 absent from the training split of fold 0"),
-        ("20", "cannot split 9 samples into 20 folds"),
+        ((4, 4, 1), "3", "class 2 absent from the training split of fold 0"),
+        ((4, 4, 1), "20", "cannot split 9 samples into 20 folds"),
+        ((2, 2, 2), "3", "validation split of fold 2 is empty: 3 folds exceed every class's sample count"),
     ],
+    ids=["class_missing_from_training", "more_folds_than_samples", "empty_validation_fold"],
 )
-def test_kfold_bad_plan_fails_before_output(workspace, tmp_path, capsys, monkeypatch, k, message):
+def test_kfold_bad_plan_fails_before_output(workspace, tmp_path, capsys, monkeypatch, counts, k, message):
     root, cfg = workspace
     entries = load_manifest(root / "prep" / "manifest.csv").entries
     by_label = {c: [e for e in entries if e.label == c] for c in range(3)}
     manifest = tmp_path / "manifest.csv"
-    save_manifest(DatasetManifest(entries=by_label[0][:4] + by_label[1][:4] + by_label[2][:1]), manifest)
+    save_manifest(DatasetManifest(entries=[e for c, n in enumerate(counts) for e in by_label[c][:n]]), manifest)
 
     def no_training(*args, **kwargs):
         raise AssertionError("trained on a plan that should have been rejected")

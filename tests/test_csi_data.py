@@ -234,10 +234,8 @@ class TestSynthetic:
             samples_per_class=5,
             n_p=256,
             n_s=8,
-            signatures=[
-                csi_data.ClassSignature(freq=freqs[0]),
-                csi_data.ClassSignature(freq=freqs[1]),
-            ],
+            freq_min=freqs[0],
+            freq_max=freqs[1],
             mod_depth=0.5,
             profile_depth=0.0,
             noise_amp=1.0,

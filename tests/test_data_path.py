@@ -70,29 +70,25 @@ def constant_pair_recording(n_p: int) -> CsiRecording:
 
 
 class TestPreprocessMatchesReference:
-    @pytest.mark.parametrize("zero_phase", [False, True])
-    @pytest.mark.parametrize("normalize_first", [True, False])
     @pytest.mark.parametrize("n_p", [1500, 256])
     @pytest.mark.parametrize("source", ["default", "burst_chirp", "no_noise", "one_pair", "constant_pair"])
-    def test_bitwise(self, source, n_p, normalize_first, zero_phase):
+    def test_bitwise(self, source, n_p):
         if source == "constant_pair":
             rec = constant_pair_recording(n_p)
         else:
             rec = synthesize_recording(spec_of(source, n_p), 5, 2)
-        filt = FilterSpec(zero_phase=zero_phase)
-        got = preprocess(rec, filt, label=3, normalize_first=normalize_first)
-        want = reference.preprocess(rec, filt, label=3, normalize_first=normalize_first)
+        got = preprocess(rec, FilterSpec(), label=3)
+        want = reference.preprocess(rec, FilterSpec(), label=3)
         assert got.label == 3 and got.data.shape == want.data.shape
         assert got.data.tobytes() == want.data.tobytes()
 
     @pytest.mark.parametrize("order, cutoff, levels", [(3, 0.3, 1), (2, 0.05, 3), (7, 0.2, 4)])
     def test_other_filters_and_levels(self, order, cutoff, levels):
         rec = synthesize_recording(spec_of("jitter", 512), 1, 1)
-        for normalize_first in (True, False):
-            args = (FilterSpec(order=order, cutoff=cutoff), WaveletSpec(levels=levels))
-            got = preprocess(rec, *args, normalize_first=normalize_first)
-            want = reference.preprocess(rec, *args, normalize_first=normalize_first)
-            assert got.data.tobytes() == want.data.tobytes()
+        args = (FilterSpec(order=order, cutoff=cutoff), WaveletSpec(levels=levels))
+        got = preprocess(rec, *args)
+        want = reference.preprocess(rec, *args)
+        assert got.data.tobytes() == want.data.tobytes()
 
     def test_packets_must_halve_every_level(self):
         rec = synthesize_recording(spec_of("default", 250), 0, 0)
@@ -105,9 +101,8 @@ class TestPreprocessMatchesReference:
         monkeypatch.setattr(dsp, "design_butterworth_lowpass", lambda spec: calls.append(spec) or design(spec))
         dsp._lowpass.cache_clear()
         rec = synthesize_recording(spec_of("default", 256), 0, 0)
-        for filt in (FilterSpec(), FilterSpec(zero_phase=True), FilterSpec(order=3), FilterSpec()):
+        for filt in (FilterSpec(), FilterSpec(order=3), FilterSpec()):
             preprocess(rec, filt)
-            preprocess(rec, filt, normalize_first=False)
         dsp._lowpass.cache_clear()
         assert [(s.order, s.cutoff) for s in calls] == [(5, 0.1), (3, 0.1)]
 

@@ -150,12 +150,6 @@ class TestApplyFilter:
         assert y.shape == x.shape
         assert np.array_equal(y[:10], np.zeros(10))
 
-    def test_zero_phase_mode_is_noncausal_and_flat(self):
-        x = np.zeros(256)
-        x[128] = 1.0
-        y = apply_filter(x, self.coeffs, zero_phase=True)
-        assert np.any(y[:128] != 0.0)
-
     def test_filters_along_requested_axis(self):
         x = np.zeros((2, 50, 3))
         x[:, 0, :] = 1.0
@@ -225,15 +219,6 @@ class TestPreprocess:
         rec = CsiRecording(n_t=1, n_r=2, n_p=16, n_s=3, data=data)
         sample = preprocess(rec, FilterSpec(), WaveletSpec(levels=2))
         assert np.array_equal(sample.data, np.zeros((2, 4, 3)))
-
-    def test_normalize_after_filter_flag(self):
-        rng = np.random.default_rng(3)
-        data = rng.integers(-100, 101, size=(2, 32, 4, 2)).astype(np.int8)
-        rec = CsiRecording(n_t=1, n_r=2, n_p=32, n_s=4, data=data)
-        a = preprocess(rec, FilterSpec(), WaveletSpec(levels=1), normalize_first=True)
-        b = preprocess(rec, FilterSpec(), WaveletSpec(levels=1), normalize_first=False)
-        assert a.data.shape == b.data.shape
-        assert not np.array_equal(a.data, b.data)
 
 
 class TestSampleContainer:

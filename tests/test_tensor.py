@@ -755,7 +755,7 @@ class TestBackward:
         c2 = rng.standard_normal((3, 4))
         c3 = rng.standard_normal((2, 6))
         r = T.reshape(x, (3, 4))
-        t = T.transpose(r)
+        t = T.transpose(r, (1, 0))
         loss = T.add(
             T.add(T.sum_over(T.mul(t, Tensor(c1))), T.sum_over(T.mul(r, Tensor(c2)))),
             T.sum_over(T.mul(x, Tensor(c3))),
