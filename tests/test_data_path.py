@@ -70,15 +70,18 @@ def constant_pair_recording(n_p: int) -> CsiRecording:
 
 
 class TestPreprocessMatchesReference:
+    @pytest.mark.parametrize("levels", [2, 1])
+    @pytest.mark.parametrize("order, cutoff", [(5, 0.1), (8, 0.4)], ids=["stock_filter", "steep_filter"])
     @pytest.mark.parametrize("n_p", [1500, 256])
     @pytest.mark.parametrize("source", ["default", "burst_chirp", "no_noise", "one_pair", "constant_pair"])
-    def test_bitwise(self, source, n_p):
+    def test_bitwise(self, source, n_p, order, cutoff, levels):
         if source == "constant_pair":
             rec = constant_pair_recording(n_p)
         else:
             rec = synthesize_recording(spec_of(source, n_p), 5, 2)
-        got = preprocess(rec, FilterSpec(), label=3)
-        want = reference.preprocess(rec, FilterSpec(), label=3)
+        args = (FilterSpec(order=order, cutoff=cutoff), WaveletSpec(levels=levels))
+        got = preprocess(rec, *args, label=3)
+        want = reference.preprocess(rec, *args, label=3)
         assert got.label == 3 and got.data.shape == want.data.shape
         assert got.data.tobytes() == want.data.tobytes()
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from csi_tcn.csi_data import CsiRecording
+from csi_tcn.csi_data import CsiRecording, amplitude
 from csi_tcn.dsp import (
     FilterSpec,
     IirCoefficients,
@@ -219,6 +219,20 @@ class TestPreprocess:
         rec = CsiRecording(n_t=1, n_r=2, n_p=16, n_s=3, data=data)
         sample = preprocess(rec, FilterSpec(), WaveletSpec(levels=2))
         assert np.array_equal(sample.data, np.zeros((2, 4, 3)))
+
+    def test_normalizes_before_filtering(self):
+        # the chain is amplitude, min-max, low-pass, Haar; filtering first
+        # would give different values
+        rng = np.random.default_rng(3)
+        data = rng.integers(-100, 101, size=(2, 32, 4, 2)).astype(np.int8)
+        rec = CsiRecording(n_t=1, n_r=2, n_p=32, n_s=4, data=data)
+        coeffs = design_butterworth_lowpass(FilterSpec())
+        amp = amplitude(rec)
+        norm_first = dwt_approx(apply_filter(minmax_normalize(amp), coeffs, axis=1), axis=1)
+        filter_first = dwt_approx(minmax_normalize(apply_filter(amp, coeffs, axis=1)), axis=1)
+        sample = preprocess(rec, FilterSpec(), WaveletSpec(levels=1))
+        assert np.allclose(sample.data, norm_first, rtol=0, atol=1e-12)
+        assert not np.allclose(sample.data, filter_first, rtol=0, atol=1e-6)
 
 
 class TestSampleContainer:
