@@ -69,7 +69,7 @@ def _parse_set_value(raw: str):
     try:
         return json.loads(raw)
     except json.JSONDecodeError:
-        return raw  # bare strings like `--set model.mask_mode=neg_inf`
+        return raw  # bare strings like `--set model.attention_placement=none`
 
 
 def _merge_overrides(raw: dict, overrides: list[str]) -> dict:
@@ -103,10 +103,13 @@ def _build_section(name: str, cls, provided: dict):
 
 
 def _check_seed(key: str, value):
-    """Seeds must be integers: a float, a bool or a string is refused here
-    rather than truncated, read as 0/1 or left to fail inside a stage."""
+    """Seeds must be non-negative integers: a float, a bool, a string or a
+    negative number is refused here rather than truncated, read as 0/1 or
+    left to fail inside a stage."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{key} must be an integer, got {value!r}")
+    if value < 0:
+        raise ConfigError(f"{key} must be non-negative, got {value}")
     return value
 
 

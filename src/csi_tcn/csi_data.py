@@ -34,7 +34,6 @@ __all__ = [
     "CsiRecording",
     "ManifestEntry",
     "DatasetManifest",
-    "ClassSignature",
     "SyntheticSpec",
     "check_label",
     "read_container",
@@ -285,13 +284,14 @@ def load_manifest(path: str | os.PathLike) -> DatasetManifest:
             parts = line.split(",")
             if len(parts) != 4:
                 raise CsiFormatError(f"{path}:{lineno}: expected 4 fields, got {len(parts)}")
-            rel, label, pair_id, trial_id = parts
+            rel, *fields = parts
+            try:
+                label, pair_id, trial_id = (int(f) for f in fields)
+                check_label(label)
+            except ValueError as exc:
+                raise CsiFormatError(f"{path}:{lineno}: {exc}") from exc
             full = rel if os.path.isabs(rel) else os.path.join(base, rel)
-            entries.append(
-                ManifestEntry(
-                    path=full, label=int(label), pair_id=int(pair_id), trial_id=int(trial_id)
-                )
-            )
+            entries.append(ManifestEntry(path=full, label=label, pair_id=pair_id, trial_id=trial_id))
     return DatasetManifest(entries=entries)
 
 
@@ -300,23 +300,14 @@ def load_manifest(path: str | os.PathLike) -> DatasetManifest:
 
 
 @dataclass
-class ClassSignature:
-    """Deterministic time-frequency fingerprint of one class."""
-
-    freq: float  # amplitude-modulation frequency, cycles per packet
-    chirp: float = 0.0  # linear frequency ramp, cycles per packet^2
-    burst_center: float = 0.8  # Gaussian bump position, fraction of n_p
-    profile_cycles: int = 0  # cosine cycles of the static subcarrier gain profile
-
-
-@dataclass
 class SyntheticSpec:
     """Parameters of the synthetic CSI source.
 
     Each class gets a distinct amplitude-modulation signature derived from
-    its index (`signature`): a sinusoid frequency spaced evenly over
-    [freq_min, freq_max], a chirp up to `chirp_max`, a burst position and a
-    static subcarrier gain profile. Trials add seeded noise and, when
+    its index c: a sinusoid whose frequency is spaced evenly over
+    [freq_min, freq_max] (freq_min for class 0, freq_max for the last), with
+    depth `mod_depth`, and a static subcarrier gain profile of c + 1 cosine
+    cycles with depth `profile_depth`. Trials add seeded noise and, when
     enabled, per-trial scale/phase jitter. Generation is a pure function of
     this spec.
     """
@@ -331,8 +322,6 @@ class SyntheticSpec:
     freq_max: float = 0.04
     mod_depth: float = 0.35
     profile_depth: float = 0.3
-    burst_depth: float = 0.0
-    chirp_max: float = 0.0
     base_amplitude: float = 50.0
     noise_amp: float = 2.0
     scale_jitter: float = 0.0  # per-trial amplitude scale ~ U(1-j, 1+j)
@@ -348,20 +337,12 @@ class SyntheticSpec:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
 
-    def signature(self, class_id: int) -> ClassSignature:
-        frac = class_id / (self.classes - 1)
-        return ClassSignature(
-            freq=self.freq_min + frac * (self.freq_max - self.freq_min),
-            chirp=frac * self.chirp_max,
-            burst_center=0.6 + 0.35 * frac,
-            profile_cycles=class_id + 1,
-        )
-
 
 def synthesize_recording(spec: SyntheticSpec, class_id: int, trial_id: int) -> CsiRecording:
     """One trial of `class_id`, deterministic in (spec, class_id, trial_id)."""
     check_label(class_id, spec.classes)
-    sig = spec.signature(class_id)
+    freq = spec.freq_min + class_id / (spec.classes - 1) * (spec.freq_max - spec.freq_min)
+    profile_cycles = class_id + 1
     rng = named_rng(spec.seed, "synth", class_id, trial_id)
 
     pairs = spec.n_t * spec.n_r
@@ -373,12 +354,7 @@ def synthesize_recording(spec: SyntheticSpec, class_id: int, trial_id: int) -> C
     trial_phase = 2.0 * math.pi * spec.phase_jitter * rng.random()
     carrier_phase = 2.0 * math.pi * spec.phase_jitter * rng.random()
 
-    if spec.profile_depth > 0.0 and sig.profile_cycles > 0:
-        gain = 1.0 + spec.profile_depth * np.cos(
-            2.0 * math.pi * sig.profile_cycles * s / spec.n_s
-        )
-    else:
-        gain = np.ones(spec.n_s)
+    gain = 1.0 + spec.profile_depth * np.cos(2.0 * math.pi * profile_cycles * s / spec.n_s)
     amp_gain = spec.base_amplitude * scale * gain
 
     # Modulation phase spread over pairs/subcarriers keeps the 6 x 30 series
@@ -386,12 +362,7 @@ def synthesize_recording(spec: SyntheticSpec, class_id: int, trial_id: int) -> C
     mod_phase = (
         2.0 * math.pi * (0.13 * p[:, None, None] + 0.07 * s[None, None, :]) + trial_phase
     )
-    mod_arg = 2.0 * math.pi * (sig.freq * t + 0.5 * sig.chirp * t * t)
-    burst = None
-    if spec.burst_depth > 0.0:
-        center = sig.burst_center * spec.n_p
-        width = 0.05 * spec.n_p
-        burst = spec.burst_depth * np.exp(-0.5 * ((t[:, None] - center) / width) ** 2)
+    mod_arg = 2.0 * math.pi * (freq * t)
     carrier = 0.21 * t[:, None] + 0.11 * s[None, :]
     pair_carrier = 0.05 * p[:, None, None]
 
@@ -407,14 +378,12 @@ def synthesize_recording(spec: SyntheticSpec, class_id: int, trial_id: int) -> C
 
     def build(c0: int, c1: int, envelope: np.ndarray, theta: np.ndarray, part: np.ndarray) -> None:
         # Pairs c0..c1, each element formed as in the whole-grid formula
-        # envelope = base * scale * gain * (1 + depth * sin(mod) + burst);
+        # envelope = base * scale * gain * (1 + depth * sin(mod));
         # (re, im) = rint(envelope * (cos, sin)(theta) + noise_amp * noise).
         np.add(mod_arg[:, None], mod_phase[c0:c1], out=envelope)
         np.sin(envelope, out=envelope)
         np.multiply(envelope, spec.mod_depth, out=envelope)
         np.add(envelope, 1.0, out=envelope)
-        if burst is not None:
-            np.add(envelope, burst, out=envelope)
         np.multiply(amp_gain, envelope, out=envelope)
         np.add(carrier, pair_carrier[c0:c1], out=theta)
         np.multiply(theta, 2.0 * math.pi, out=theta)

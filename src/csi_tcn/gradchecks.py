@@ -142,23 +142,21 @@ def run_battery() -> list[BatteryRow]:
     ak = Tensor(rng.standard_normal((2, 4, 3)), requires_grad=True)
     av = Tensor(rng.standard_normal((2, 4, 5)), requires_grad=True)
     c_att = _coeffs(rng, (2, 4, 5))
-    for mode in ("neg_inf", "zero_literal"):
-        check(
-            f"causal_attention_{mode}",
-            lambda q, k, v, mode=mode: _weighted_sum(T.causal_attention(q, k, v, 3.0**-0.5, mode), c_att),
-            [aq, ak, av],
-        )
+    check(
+        "causal_attention",
+        lambda q, k, v: _weighted_sum(T.causal_attention(q, k, v, 3.0**-0.5), c_att),
+        [aq, ak, av],
+    )
     # offset form: 2 query rows aligned to the end of 5 key and value steps
     oq = Tensor(rng.standard_normal((2, 2, 3)), requires_grad=True)
     ok = Tensor(rng.standard_normal((2, 5, 3)), requires_grad=True)
     ov = Tensor(rng.standard_normal((2, 5, 4)), requires_grad=True)
     c_off = _coeffs(rng, (2, 2, 4))
-    for mode in ("neg_inf", "zero_literal"):
-        check(
-            f"causal_attention_offset_{mode}",
-            lambda q, k, v, mode=mode: _weighted_sum(T.causal_attention(q, k, v, 3.0**-0.5, mode), c_off),
-            [oq, ok, ov],
-        )
+    check(
+        "causal_attention_offset",
+        lambda q, k, v: _weighted_sum(T.causal_attention(q, k, v, 3.0**-0.5), c_off),
+        [oq, ok, ov],
+    )
 
     # dropout with a re-seeded mask so every call sees the same pattern
     dx = Tensor(rng.standard_normal((4, 6)), requires_grad=True)

@@ -31,7 +31,6 @@ from .tensor import Tensor
 
 __all__ = [
     "AttentionPlacement",
-    "MaskMode",
     "ModelConfig",
     "AttentionParams",
     "TcnBlockParams",
@@ -57,19 +56,12 @@ class AttentionPlacement(enum.Enum):
     NONE = "none"
 
 
-class MaskMode(enum.Enum):
-    NEG_INF = "neg_inf"
-    ZERO_LITERAL = "zero_literal"
-
-
 @dataclass
 class ModelConfig:
     filters: tuple[int, ...] = (50, 50, 50)  # one conv block per width
     kernel: int = 15
     dropout: float = 0.5
     attention_placement: AttentionPlacement = AttentionPlacement.PRE_TCN_ONLY
-    mask_mode: MaskMode = MaskMode.NEG_INF
-    residual: bool = True
     d_k: int = 30
     n_classes: int = 12
     in_features: int = 30
@@ -77,7 +69,6 @@ class ModelConfig:
     def __post_init__(self) -> None:
         self.filters = tuple(int(f) for f in self.filters)
         self.attention_placement = AttentionPlacement(self.attention_placement)
-        self.mask_mode = MaskMode(self.mask_mode)
         if any(f < 1 for f in self.filters):
             raise ValueError(f"filters {self.filters} must all be >= 1")
         if self.attention_placement is AttentionPlacement.EVERY_LAYER and not self.filters:
@@ -100,27 +91,30 @@ def model_config_to_dict(cfg: ModelConfig) -> dict:
     d = dataclasses.asdict(cfg)
     d["filters"] = list(cfg.filters)
     d["attention_placement"] = cfg.attention_placement.value
-    d["mask_mode"] = cfg.mask_mode.value
     return d
 
 
 def model_config_from_dict(d: dict) -> ModelConfig:
-    """Inverse of `model_config_to_dict`. Older checkpoint headers also carry
-    `layers` and `dilations`; each is accepted only when it equals the value
-    derived from `filters`, then dropped."""
+    """Inverse of `model_config_to_dict`. Version 1 checkpoint headers also
+    carry `layers` and `dilations`, derived from `filters`, and `mask_mode`
+    and `residual`, which can only be "neg_inf" and true; each is accepted
+    only when it holds that value, then dropped."""
     d = dict(d)
-    legacy = {key: d.pop(key) for key in ("layers", "dilations") if key in d}
+    legacy = {key: d.pop(key) for key in ("layers", "dilations", "mask_mode", "residual") if key in d}
     known = {f.name for f in dataclasses.fields(ModelConfig)}
     unknown = set(d) - known
     if unknown:
         raise ValueError(f"unknown model config key: {sorted(unknown)[0]}")
     cfg = ModelConfig(**d)
-    derived = {"layers": len(cfg.filters), "dilations": _dilations(cfg)}
+    expected = {
+        "layers": len(cfg.filters),
+        "dilations": _dilations(cfg),
+        "mask_mode": "neg_inf",
+        "residual": True,
+    }
     for key, value in legacy.items():
-        if value != derived[key]:
-            raise ValueError(
-                f"model config key {key} is {value!r}, but filters {list(cfg.filters)} imply {derived[key]!r}"
-            )
+        if value != expected[key]:
+            raise ValueError(f"model config key {key} is {value!r}, but this model has {expected[key]!r}")
     return cfg
 
 
@@ -224,7 +218,7 @@ def init_model(cfg: ModelConfig, rng: np.random.Generator) -> ModelParams:
         w = _glorot(rng, (c_out, c_in, cfg.kernel), c_in * cfg.kernel, c_out * cfg.kernel)
         b = Tensor(np.zeros(c_out), requires_grad=True)
         proj = None
-        if cfg.residual and c_in != c_out:
+        if c_in != c_out:
             proj = _glorot(rng, (c_out, c_in), c_in, c_out)
         params.blocks.append(TcnBlockParams(w=w, b=b, proj=proj))
         c_in = c_out
@@ -233,22 +227,17 @@ def init_model(cfg: ModelConfig, rng: np.random.Generator) -> ModelParams:
     return params
 
 
-def attention_forward(
-    h: Tensor,
-    params: AttentionParams,
-    mask_mode: MaskMode = MaskMode.NEG_INF,
-    rows: Optional[int] = None,
-) -> Tensor:
+def attention_forward(h: Tensor, params: AttentionParams, rows: Optional[int] = None) -> Tensor:
     """Masked scaled dot-product attention gating the input elementwise.
 
     h: (..., T, F). Keys and values are linear maps of every step of h;
     queries are linear maps of its last `rows` steps (all T by default). The
     fused `tensor.causal_attention` primitive scales the scores by
-    1/sqrt(d_k), suppresses future positions with the causal mask, and
-    returns the softmax-weighted value rows, building the rows x T weights a
-    chunk of samples at a time and keeping none of them for backward. The
-    attended rows then gate the same last rows of h entrywise, so the output
-    is (..., rows, F).
+    1/sqrt(d_k), sets every future position to -inf so it gets zero weight,
+    and returns the softmax-weighted value rows, building the rows x T
+    weights a chunk of samples at a time and keeping none of them for
+    backward. The attended rows then gate the same last rows of h entrywise,
+    so the output is (..., rows, F).
     """
     t_len = h.shape[-2]
     if rows is None:
@@ -257,7 +246,7 @@ def attention_forward(
     q = T.linear(h_q, params.w_q)
     k = T.linear(h, params.w_k)
     v = T.linear(h, params.w_v)
-    attended = T.causal_attention(q, k, v, 1.0 / math.sqrt(params.d_k), mask_mode.value)
+    attended = T.causal_attention(q, k, v, 1.0 / math.sqrt(params.d_k))
     if attended.shape != h_q.shape:
         raise ValueError(f"attended shape {attended.shape} does not match input {h_q.shape}")
     return T.mul(h_q, attended)
@@ -270,12 +259,13 @@ def tcn_block_forward(
     dropout: float = 0.0,
     training: bool = False,
     rng: Optional[np.random.Generator] = None,
-    residual: bool = True,
     steps: Optional[int] = None,
     t_full: Optional[int] = None,
 ) -> Tensor:
-    """conv -> ReLU -> dropout, plus the residual path (identity, or the 1x1
-    projection when channel counts differ).
+    """conv -> ReLU -> dropout, plus the residual path: the identity, or
+    the 1x1 projection `params.proj` when channel counts differ. Every block
+    is residual, as in Bai et al.'s TCN; channel-changing params without a
+    projection are refused.
 
     With `steps` the block computes only the last `steps` output steps.
     `t_full` is the length of the full pass this block is part of, so that
@@ -287,19 +277,14 @@ def tcn_block_forward(
     y = T.causal_conv1d(x, params.w, params.b, dilation, steps)
     y = T.relu(y)
     y = T.dropout_layer(y, dropout, training, rng, t_full)
-    if residual:
-        c_out, c_in = params.w.shape[0], params.w.shape[1]
-        if steps < t_len:
-            x = T.index(x, (Ellipsis, slice(t_len - steps, None)))
-        if params.proj is not None:
-            y = T.add(y, T.matmul(params.proj, x))
-        elif c_in == c_out:
-            y = T.add(y, x)
-        else:
-            raise ValueError(
-                f"residual needs a projection when channels change ({c_in} -> {c_out})"
-            )
-    return y
+    c_out, c_in = params.w.shape[0], params.w.shape[1]
+    if steps < t_len:
+        x = T.index(x, (Ellipsis, slice(t_len - steps, None)))
+    if params.proj is not None:
+        return T.add(y, T.matmul(params.proj, x))
+    if c_in != c_out:
+        raise ValueError(f"residual needs a projection when channels change ({c_in} -> {c_out})")
+    return T.add(y, x)
 
 
 def _stage_steps(cfg: ModelConfig, t_len: int) -> tuple[int, dict[str, int]]:
@@ -372,11 +357,10 @@ def model_forward(
         if time_major != (stage.key is not None):
             h, time_major = T.transpose(h, (0, 2, 1)), not time_major
         if stage.key is not None:
-            h = attention_forward(h, params.attention[stage.key], cfg.mask_mode, steps[stage.name])
+            h = attention_forward(h, params.attention[stage.key], steps[stage.name])
         else:
             h = tcn_block_forward(
-                h, next(blocks), stage.dilation, cfg.dropout, training, rng, cfg.residual,
-                steps[stage.name], t_len,
+                h, next(blocks), stage.dilation, cfg.dropout, training, rng, steps[stage.name], t_len
             )
         acts[stage.name] = h
     z = T.transpose(h, (0, 2, 1)) if time_major else h  # (N, C, T)
@@ -420,7 +404,7 @@ def probe_receptive_field(cfg: ModelConfig, t_len: Optional[int] = None, seed: i
     def stack_last_column(arr: np.ndarray) -> np.ndarray:
         z = Tensor(arr)
         for block, dilation in zip(params.blocks, _dilations(stack_cfg)):
-            z = tcn_block_forward(z, block, dilation, residual=stack_cfg.residual)
+            z = tcn_block_forward(z, block, dilation)
         return z.data[:, -1].copy()
 
     base = rng.uniform(0.5, 1.0, size=(stack_cfg.in_features, t_len))

@@ -521,16 +521,14 @@ def softmax_rows(a: Tensor) -> Tensor:
     return _make(data, (a,), backward_fn, "softmax_rows")
 
 
-def causal_attention(q: Tensor, k: Tensor, v: Tensor, scale: float, mode: str = "neg_inf") -> Tensor:
+def causal_attention(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
     """softmax(mask(q k^T * scale)) v, with the W x T weights built per chunk.
 
     k: (..., T, d_k); v: (..., T, F); q: (..., W, d_k) with W <= T rows,
     aligned to the end of k and v: query row i stands at step T-W+i and
     attends keys 0..T-W+i. W = T is the square causal block. Entries right of
-    that shifted diagonal are suppressed before the row softmax: "neg_inf"
-    (default) gives them zero weight; "zero_literal" writes 0.0 instead,
-    reproducing the figure-literal variant (which still leaks weight e^0 to
-    the future). The output is (..., W, F).
+    that shifted diagonal are set to -inf before the row softmax, so they get
+    zero weight. The output is (..., W, F).
 
     Nothing but the operands is kept for the backward pass. It recomputes
     each chunk's weights P with the same operations as the forward pass, then
@@ -540,8 +538,6 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, scale: float, mode: str = 
     match the composed chain matmul -> scale -> mask -> softmax_rows ->
     matmul, so results are bit-identical to it.
     """
-    if mode not in ("neg_inf", "zero_literal"):
-        raise ValueError(f"unknown mask mode {mode!r}")
     if q.ndim < 2 or k.ndim < 2 or v.ndim < 2:
         raise ValueError("attention operands must be at least 2-D")
     rows, t_len = q.shape[-2], k.shape[-2]
@@ -561,7 +557,7 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, scale: float, mode: str = 
         """Write the weights of samples c0:c1 into `p`."""
         np.matmul(qd[c0:c1], np.swapaxes(kd[c0:c1], -1, -2), out=p)
         p *= scale
-        np.copyto(p, -np.inf if mode == "neg_inf" else 0.0, where=above)
+        np.copyto(p, -np.inf, where=above)
         _softmax_in_place(p)
 
     def forward_chunk(c0: int, c1: int, p: np.ndarray) -> None:

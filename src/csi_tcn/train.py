@@ -431,6 +431,30 @@ class AblationRow:
 SWEEP_KINDS = ("kernel", "dropout", "attention", "augment")
 
 
+def _sweep_point(
+    sweep: str,
+    value,
+    model_cfg: ModelConfig,
+    train_cfg: TrainConfig,
+    augment_cfg: Optional[AugmentConfig],
+) -> tuple[ModelConfig, Optional[AugmentConfig]]:
+    """The model config of one sweep point, and its augmentation (None for
+    none); a value that does not parse or check is refused by name."""
+    try:
+        if sweep == "kernel":
+            return dataclasses.replace(model_cfg, kernel=int(value)), None
+        if sweep == "dropout":
+            return dataclasses.replace(model_cfg, dropout=float(value)), None
+        if sweep == "attention":
+            return dataclasses.replace(model_cfg, attention_placement=AttentionPlacement(value)), None
+        if str(value) == "none":
+            return model_cfg, None
+        base = augment_cfg or AugmentConfig(seed=train_cfg.seed)
+        return model_cfg, dataclasses.replace(base, methods=tuple(str(value).split("+")))
+    except ValueError as exc:
+        raise ValueError(f"{sweep} sweep value {value!r}: {exc}") from exc
+
+
 def ablate(
     dataset: Sequence[PreprocessedSample],
     model_cfg: ModelConfig,
@@ -443,27 +467,17 @@ def ablate(
 
     Validation is fold 0 of the stratified k-fold plan; an `augment` sweep
     expands only the training split. Values for `augment` are "none" or
-    "+"-joined method names (e.g. "dropout+mix_same").
+    "+"-joined method names (e.g. "dropout+mix_same"). Every value is parsed
+    and checked before the first point trains.
     """
     if sweep not in SWEEP_KINDS:
         raise ValueError(f"unknown sweep {sweep!r}, expected one of {SWEEP_KINDS}")
+    points = [(value, _sweep_point(sweep, value, model_cfg, train_cfg, augment_cfg)) for value in values]
     base_train, val_set = holdout_split(dataset, train_cfg)
 
     rows = []
-    for value in values:
-        mc = model_cfg
-        train_set = base_train
-        if sweep == "kernel":
-            mc = dataclasses.replace(model_cfg, kernel=int(value))
-        elif sweep == "dropout":
-            mc = dataclasses.replace(model_cfg, dropout=float(value))
-        elif sweep == "attention":
-            mc = dataclasses.replace(model_cfg, attention_placement=AttentionPlacement(value))
-        else:
-            if str(value) != "none":
-                base = augment_cfg or AugmentConfig(seed=train_cfg.seed)
-                methods = tuple(str(value).split("+"))
-                train_set = expand_dataset(base_train, dataclasses.replace(base, methods=methods))
+    for value, (mc, aug) in points:
+        train_set = base_train if aug is None else expand_dataset(base_train, aug)
         _, metrics = train(train_set, mc, train_cfg, val_set)
         rows.append(
             AblationRow(

@@ -12,22 +12,19 @@ import math
 import numpy as np
 
 from csi_tcn import tensor as T
-from csi_tcn.model import AttentionParams, MaskMode
+from csi_tcn.model import AttentionParams
 from csi_tcn.tensor import Tensor
 
 
-def lower_triangular_mask(s: Tensor, mode: str = "neg_inf") -> Tensor:
-    """Suppress the entries of the trailing W x T block (W <= T) that lie
+def lower_triangular_mask(s: Tensor) -> Tensor:
+    """Set to -inf the entries of the trailing W x T block (W <= T) that lie
     right of the diagonal ending in its last corner, so row i keeps columns
-    0..T-W+i: -inf for "neg_inf", 0.0 for "zero_literal"."""
+    0..T-W+i."""
     if s.ndim < 2 or s.shape[-2] > s.shape[-1]:
         raise ValueError(f"mask input must end in a block with no more rows than columns, got {s.shape}")
-    if mode not in ("neg_inf", "zero_literal"):
-        raise ValueError(f"unknown mask mode {mode!r}")
     rows, t = s.shape[-2:]
     above = np.triu(np.ones((rows, t), dtype=bool), k=t - rows + 1)
-    fill = -np.inf if mode == "neg_inf" else 0.0
-    data = np.where(above, fill, s.data)
+    data = np.where(above, -np.inf, s.data)
 
     def backward_fn(g):
         T._accumulate(s, np.where(above, 0.0, g))
@@ -41,15 +38,13 @@ def _swap_last(t: Tensor) -> Tensor:
     return T.transpose(t, axes)
 
 
-def reference_attention(q: Tensor, k: Tensor, v: Tensor, scale: float, mode: str = "neg_inf") -> Tensor:
+def reference_attention(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
     scores = T.mul(T.matmul(q, _swap_last(k)), Tensor(scale))
-    weights = T.softmax_rows(lower_triangular_mask(scores, mode))
+    weights = T.softmax_rows(lower_triangular_mask(scores))
     return T.matmul(weights, v)
 
 
-def reference_attention_forward(
-    h: Tensor, params: AttentionParams, mask_mode: MaskMode = MaskMode.NEG_INF, rows=None
-) -> Tensor:
+def reference_attention_forward(h: Tensor, params: AttentionParams, rows=None) -> Tensor:
     """`model.attention_forward` spelled with the composed chain."""
     t_len = h.shape[-2]
     rows = t_len if rows is None else rows
@@ -57,5 +52,5 @@ def reference_attention_forward(
     q = T.linear(h_q, params.w_q)
     k = T.linear(h, params.w_k)
     v = T.linear(h, params.w_v)
-    attended = reference_attention(q, k, v, 1.0 / math.sqrt(params.d_k), mask_mode.value)
+    attended = reference_attention(q, k, v, 1.0 / math.sqrt(params.d_k))
     return T.mul(h_q, attended)

@@ -62,7 +62,9 @@ def preprocess(
 
 def synthesize_recording(spec: SyntheticSpec, class_id: int, trial_id: int) -> CsiRecording:
     check_label(class_id, spec.classes)
-    sig = spec.signature(class_id)
+    frac = class_id / (spec.classes - 1)
+    freq = spec.freq_min + frac * (spec.freq_max - spec.freq_min)
+    profile_cycles = class_id + 1
     rng = named_rng(spec.seed, "synth", class_id, trial_id)
 
     pairs = spec.n_t * spec.n_r
@@ -74,27 +76,14 @@ def synthesize_recording(spec: SyntheticSpec, class_id: int, trial_id: int) -> C
     trial_phase = 2.0 * math.pi * spec.phase_jitter * rng.random()
     carrier_phase = 2.0 * math.pi * spec.phase_jitter * rng.random()
 
-    if spec.profile_depth > 0.0 and sig.profile_cycles > 0:
-        gain = 1.0 + spec.profile_depth * np.cos(
-            2.0 * math.pi * sig.profile_cycles * s / spec.n_s
-        )
-    else:
-        gain = np.ones(spec.n_s)
+    gain = 1.0 + spec.profile_depth * np.cos(2.0 * math.pi * profile_cycles * s / spec.n_s)
 
     mod_phase = (
         2.0 * math.pi * (0.13 * p[:, None, None] + 0.07 * s[None, None, :]) + trial_phase
     )
-    mod_arg = 2.0 * math.pi * (sig.freq * t + 0.5 * sig.chirp * t * t)
+    mod_arg = 2.0 * math.pi * (freq * t)
     modulation = spec.mod_depth * np.sin(mod_arg[None, :, None] + mod_phase)
-
-    envelope = 1.0 + modulation
-    if spec.burst_depth > 0.0:
-        center = sig.burst_center * spec.n_p
-        width = 0.05 * spec.n_p
-        envelope = envelope + spec.burst_depth * np.exp(
-            -0.5 * ((t[None, :, None] - center) / width) ** 2
-        )
-    envelope = spec.base_amplitude * scale * gain[None, None, :] * envelope
+    envelope = spec.base_amplitude * scale * gain[None, None, :] * (1.0 + modulation)
 
     theta = (
         2.0 * math.pi * (0.21 * t[None, :, None] + 0.11 * s[None, None, :] + 0.05 * p[:, None, None])

@@ -93,13 +93,12 @@ def causal_conv1d(
     return _make(data[0] if squeeze else data, parents, backward_fn, "causal_conv1d")
 
 
-def causal_attention(q: Tensor, k: Tensor, v: Tensor, scale: float, mode: str = "neg_inf") -> Tensor:
+def causal_attention(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
     """softmax(mask(q k^T * scale)) v with the T x T weights built in one buffer.
 
     q, k: (..., T, d_k); v: (..., T, F). Entries above the main diagonal of
-    the scores are suppressed before the row softmax: "neg_inf" (default)
-    gives them zero weight; "zero_literal" writes 0.0 instead, reproducing
-    the figure-literal variant (which still leaks weight e^0 to the future).
+    the scores are set to -inf before the row softmax, so they get zero
+    weight.
 
     Only the weights P are kept for the backward pass, which is analytic:
     gP = g v^T, gv = P^T g, gS = P (gP - rowsum(gP P)), masked entries of gS
@@ -108,8 +107,6 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, scale: float, mode: str = 
     matmul -> scale -> mask -> softmax_rows -> matmul, so results are
     bit-identical to it.
     """
-    if mode not in ("neg_inf", "zero_literal"):
-        raise ValueError(f"unknown mask mode {mode!r}")
     if q.ndim < 2 or k.ndim < 2 or v.ndim < 2:
         raise ValueError("attention operands must be at least 2-D")
     t_len = q.shape[-2]
@@ -129,7 +126,7 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, scale: float, mode: str = 
         p = weights[b0:b1]
         np.matmul(qd[b0:b1], np.swapaxes(kd[b0:b1], -1, -2), out=p)
         p *= scale
-        np.copyto(p, -np.inf if mode == "neg_inf" else 0.0, where=above)
+        np.copyto(p, -np.inf, where=above)
         row_max = np.max(p, axis=-1, keepdims=True)
         if np.any(np.isneginf(row_max)):
             raise ValueError("softmax row is entirely -inf")

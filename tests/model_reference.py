@@ -22,15 +22,15 @@ def full_length_forward(x, params, cfg, training=False, rng=None):
     batch, pairs, t_len, feats = x.shape
     h = T.reshape(x, (batch * pairs, t_len, feats))
     if cfg.attention_placement is AttentionPlacement.PRE_TCN_ONLY:
-        h = model_mod.attention_forward(h, params.attention["pre"], cfg.mask_mode)
+        h = model_mod.attention_forward(h, params.attention["pre"])
     z = T.transpose(h, (0, 2, 1))
     for m, (block, dilation) in enumerate(zip(params.blocks, _dilations(cfg))):
         if cfg.attention_placement is AttentionPlacement.EVERY_LAYER:
-            ht = model_mod.attention_forward(T.transpose(z, (0, 2, 1)), params.attention[f"layer{m}"], cfg.mask_mode)
+            ht = model_mod.attention_forward(T.transpose(z, (0, 2, 1)), params.attention[f"layer{m}"])
             z = T.transpose(ht, (0, 2, 1))
-        z = model_mod.tcn_block_forward(z, block, dilation, cfg.dropout, training, rng, cfg.residual)
+        z = model_mod.tcn_block_forward(z, block, dilation, cfg.dropout, training, rng)
     if cfg.attention_placement is AttentionPlacement.POST_TCN:
-        ht = model_mod.attention_forward(T.transpose(z, (0, 2, 1)), params.attention["post"], cfg.mask_mode)
+        ht = model_mod.attention_forward(T.transpose(z, (0, 2, 1)), params.attention["post"])
         z = T.transpose(ht, (0, 2, 1))
     logits = T.linear(T.index(z, (slice(None), slice(None), -1)), params.head_w, params.head_b)
     pair_probs = T.softmax_rows(logits)

@@ -255,6 +255,10 @@ def test_unknown_config_key_names_it(workspace, capsys):
         "filter.zero_phase=true",
         "pipeline.normalize_first=false",
         "synth.signatures=null",
+        "model.mask_mode=neg_inf",
+        "model.residual=true",
+        "synth.burst_depth=0.0",
+        "synth.chirp_max=0.0",
     ],
 )
 def test_removed_config_keys_are_unknown(workspace, tmp_path, capsys, override):
@@ -271,19 +275,19 @@ SETTABLE_KEYS = ["seed"] + [
     f"{section}.{name}"
     for section, names in {
         "synth": "classes samples_per_class n_t n_r n_p n_s freq_min freq_max mod_depth profile_depth "
-        "burst_depth chirp_max base_amplitude noise_amp scale_jitter phase_jitter seed",
+        "base_amplitude noise_amp scale_jitter phase_jitter seed",
         "filter": "order cutoff",
         "wavelet": "levels",
         "pipeline": "target_np",
         "augment": "dropout_lambda_max mix_epsilon_max methods copies_per_method seed",
-        "model": "filters kernel dropout attention_placement mask_mode residual d_k n_classes in_features",
+        "model": "filters kernel dropout attention_placement d_k n_classes in_features",
         "train": "batch_size epochs base_lr lr_decay weight_decay seed k_folds",
     }.items()
     for name in names.split()
 ]
 
 
-def test_run_config_has_43_settable_keys():
+def test_run_config_has_39_settable_keys():
     # A setting added or removed shows up here; each key is set through
     # `--set` to its default and must give back the same config.
     defaults = run_config_to_dict(RunConfig())
@@ -291,7 +295,7 @@ def test_run_config_has_43_settable_keys():
     for section, values in defaults.items():
         if section != "seed":
             flat.update({f"{section}.{k}": v for k, v in values.items()})
-    assert list(flat) == SETTABLE_KEYS and len(flat) == 43
+    assert list(flat) == SETTABLE_KEYS and len(flat) == 39
     for key, value in flat.items():
         assert run_config_to_dict(load_run_config(overrides=[f"{key}={json.dumps(value)}"])) == defaults
 
@@ -341,6 +345,26 @@ def test_class_mismatch_writes_no_output_directory(workspace, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: label 2 outside the model's classes [0, 2)")
     assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [(2, "x", "invalid literal for int() with base 10: 'x'"), (1, "13", "label 13 outside [0, 11]")],
+    ids=["non_integer", "label_out_of_range"],
+)
+def test_bad_manifest_value_names_its_line(workspace, tmp_path, capsys, field, value, message):
+    root, cfg = workspace
+    lines = (root / "prep" / "manifest.csv").read_text().splitlines()
+    rows = [line.split(",") for line in lines]
+    for row in rows:
+        row[0] = str(root / "prep" / row[0])
+    rows[1][field] = value
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("".join(",".join(row) + "\n" for row in rows))
+    out = tmp_path / "never"
+    assert main(["train", str(manifest), "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {manifest}:2: {message}\n"
     assert not out.exists()
 
 
@@ -631,8 +655,10 @@ def test_failure_removes_the_parents_it_created(workspace, checkpoint, tmp_path,
         ("train.seed=2.7", "train.seed must be an integer, got 2.7"),
         ("augment.seed=false", "augment.seed must be an integer, got False"),
         ('synth.seed="x"', "synth.seed must be an integer, got 'x'"),
+        ("seed=-1", "seed must be non-negative, got -1"),
+        ("train.seed=-3", "train.seed must be non-negative, got -3"),
     ],
-    ids=["float", "bool", "section_float", "section_bool", "section_string"],
+    ids=["float", "bool", "section_float", "section_bool", "section_string", "negative", "section_negative"],
 )
 def test_non_integer_seed_is_rejected(tmp_path, capsys, override, message):
     cfg = tmp_path / "run.json"
@@ -718,6 +744,30 @@ def test_ablate_table(workspace, tmp_path):
     lines = (out / "ablation.csv").read_text().strip().splitlines()
     assert lines[0] == "sweep,value,train_accuracy,val_accuracy,train_loss,val_loss"
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize(
+    "sweep, values, message",
+    [
+        ("kernel", "2,3,x", "kernel sweep value 'x': invalid literal for int() with base 10: 'x'"),
+        ("kernel", "2,0", "kernel sweep value '0': kernel must be >= 1"),
+        ("dropout", "0.1,1.5", "dropout sweep value '1.5': dropout must be in [0, 1)"),
+        ("attention", "none,pre_tcn", "attention sweep value 'pre_tcn': 'pre_tcn' is not a valid AttentionPlacement"),
+        ("augment", "none,dropout+mix", "augment sweep value 'dropout+mix': 'mix' is not a valid AugmentMethod"),
+    ],
+    ids=["kernel_not_int", "kernel_zero", "dropout_range", "attention", "augment"],
+)
+def test_bad_sweep_value_fails_before_any_training(workspace, tmp_path, monkeypatch, capsys, sweep, values, message):
+    root, cfg = workspace
+    trainings = []
+    real_train = train_mod.train
+    monkeypatch.setattr(train_mod, "train", lambda *a, **k: trainings.append(1) or real_train(*a, **k))
+    out = tmp_path / "abl"
+    argv = ["ablate", str(root / "prep" / "manifest.csv"), "--config", str(cfg), "--sweep", sweep, "--values", values]
+    assert main([*argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert trainings == []
+    assert not out.exists()
 
 
 def test_unknown_sweep_is_rejected_before_anything_loads(tmp_path, monkeypatch, capsys):

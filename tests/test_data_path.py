@@ -21,11 +21,11 @@ from conftest import random_recording
 SPECS = {
     "default": {},
     "jitter": {"scale_jitter": 0.1, "phase_jitter": 0.3},
-    "burst_chirp": {"burst_depth": 0.4, "chirp_max": 0.02, "base_amplitude": 30.0},
+    "deep_fast": {"mod_depth": 0.9, "freq_max": 0.12, "base_amplitude": 30.0},
     "no_noise": {"noise_amp": 0.0},
     "flat_profile": {"profile_depth": 0.0},
     "one_pair": {"n_t": 1, "n_r": 1, "n_s": 7},
-    "three_by_three": {"n_t": 3, "n_r": 3, "n_s": 5, "burst_depth": 1.0, "base_amplitude": 20.0},
+    "three_by_three": {"n_t": 3, "n_r": 3, "n_s": 5, "profile_depth": 0.8, "base_amplitude": 40.0},
 }
 
 
@@ -73,7 +73,7 @@ class TestPreprocessMatchesReference:
     @pytest.mark.parametrize("levels", [2, 1])
     @pytest.mark.parametrize("order, cutoff", [(5, 0.1), (8, 0.4)], ids=["stock_filter", "steep_filter"])
     @pytest.mark.parametrize("n_p", [1500, 256])
-    @pytest.mark.parametrize("source", ["default", "burst_chirp", "no_noise", "one_pair", "constant_pair"])
+    @pytest.mark.parametrize("source", ["default", "deep_fast", "no_noise", "one_pair", "constant_pair"])
     def test_bitwise(self, source, n_p, order, cutoff, levels):
         if source == "constant_pair":
             rec = constant_pair_recording(n_p)
@@ -125,7 +125,7 @@ class TestWorkerCountIndependence:
     every stage gives the same bytes for any worker count, including counts
     that do not divide the pairs and a one-pair recording."""
 
-    @pytest.mark.parametrize("name", ["default", "one_pair", "burst_chirp"])
+    @pytest.mark.parametrize("name", ["default", "one_pair", "deep_fast"])
     def test_same_bytes_for_1_2_3_workers(self, monkeypatch, name):
         spec = SyntheticSpec(classes=3, n_p=256, **SPECS[name])
         labels = [c for c in range(3) for _ in range(3)]

@@ -15,7 +15,6 @@ from csi_tcn import tensor as T
 from csi_tcn.model import (
     AttentionParams,
     AttentionPlacement,
-    MaskMode,
     ModelConfig,
     TcnBlockParams,
     attention_forward,
@@ -74,7 +73,7 @@ class TestAttention:
         rng = np.random.default_rng(1)
         p = attention_params(rng, width=5, d_k=4, zero_qk=True)
         h = rng.standard_normal((7, 5))
-        out = attention_forward(Tensor(h), p, MaskMode.NEG_INF)
+        out = attention_forward(Tensor(h), p)
         v = h @ p.w_v.data.T
         expected = h * np.stack([v[: t + 1].mean(axis=0) for t in range(7)])
         assert np.allclose(out.data, expected, atol=1e-12)
@@ -83,32 +82,21 @@ class TestAttention:
         rng = np.random.default_rng(2)
         p = attention_params(rng, width=4, d_k=4)
         h = rng.standard_normal((6, 4))
-        base = attention_forward(Tensor(h), p, MaskMode.NEG_INF).data
+        base = attention_forward(Tensor(h), p).data
         poked = h.copy()
         poked[4:, :] += 1.5
-        out = attention_forward(Tensor(poked), p, MaskMode.NEG_INF).data
+        out = attention_forward(Tensor(poked), p).data
         assert np.array_equal(out[:4], base[:4])
 
     def test_gradient_causality(self):
         rng = np.random.default_rng(3)
         p = attention_params(rng, width=4, d_k=4)
         h = Tensor(rng.standard_normal((5, 4)), requires_grad=True)
-        out = attention_forward(h, p, MaskMode.NEG_INF)
+        out = attention_forward(h, p)
         t_probe = 2
         T.sum_over(T.index(out, t_probe)).backward()
         assert np.array_equal(h.grad[t_probe + 1 :], np.zeros((2, 4)))
         assert np.any(h.grad[: t_probe + 1] != 0.0)
-
-    def test_zero_literal_mode_leaks(self):
-        # figure-literal masking is kept but does not satisfy causality
-        rng = np.random.default_rng(4)
-        p = attention_params(rng, width=4, d_k=4)
-        h = rng.standard_normal((6, 4))
-        base = attention_forward(Tensor(h), p, MaskMode.ZERO_LITERAL).data
-        poked = h.copy()
-        poked[5, :] += 2.0
-        out = attention_forward(Tensor(poked), p, MaskMode.ZERO_LITERAL).data
-        assert np.any(out[:5] != base[:5])
 
     def test_batched_matches_loop(self):
         rng = np.random.default_rng(5)
@@ -133,10 +121,9 @@ class TestFusedAttention:
     """`tensor.causal_attention` against the composed chain it replaced."""
 
     @pytest.mark.parametrize("t_len", [1, 20])
-    @pytest.mark.parametrize("mask_mode", list(MaskMode))
     @pytest.mark.parametrize("placement", list(AttentionPlacement))
-    def test_model_bitwise_equal_to_composed_chain(self, monkeypatch, placement, mask_mode, t_len):
-        cfg = small_config(attention_placement=placement, mask_mode=mask_mode, dropout=0.3, d_k=3)
+    def test_model_bitwise_equal_to_composed_chain(self, monkeypatch, placement, t_len):
+        cfg = small_config(attention_placement=placement, dropout=0.3, d_k=3)
         x_data = np.random.default_rng(10).standard_normal((2, 3, t_len, cfg.in_features))
         labels = np.array([1, 4])
         runs = []
@@ -166,7 +153,7 @@ class TestFusedAttention:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            out = attention_forward(h, p, MaskMode.NEG_INF)
+            out = attention_forward(h, p)
             retained = tracemalloc.get_traced_memory()[0] - before
             T.sum_over(out).backward()
             peak = tracemalloc.get_traced_memory()[1] - before
@@ -190,7 +177,7 @@ class TestAttentionMemory:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            out = attention_forward(h, p, MaskMode.NEG_INF)
+            out = attention_forward(h, p)
             retained = tracemalloc.get_traced_memory()[0] - before
             T.sum_over(out).backward()
             peak = tracemalloc.get_traced_memory()[1] - before
@@ -259,14 +246,9 @@ class TestTcnBlock:
             proj=Tensor(rng.standard_normal((c_out, c_in)), requires_grad=True) if proj else None,
         )
 
-    def test_zero_weights_no_residual(self):
-        x = Tensor(np.random.default_rng(1).standard_normal((3, 10)))
-        y = tcn_block_forward(x, self._block(3, 3, 5, zero=True), 1, residual=False)
-        assert np.array_equal(y.data, np.zeros((3, 10)))
-
     def test_zero_weights_identity_residual(self):
         x = Tensor(np.random.default_rng(2).standard_normal((3, 10)))
-        y = tcn_block_forward(x, self._block(3, 3, 5, zero=True), 1, residual=True)
+        y = tcn_block_forward(x, self._block(3, 3, 5, zero=True), 1)
         assert np.array_equal(y.data, x.data)
 
     @pytest.mark.parametrize("dilation", [1, 2, 4])
@@ -279,7 +261,7 @@ class TestTcnBlock:
     def test_channel_change_needs_projection(self):
         x = Tensor(np.ones((3, 8)))
         with pytest.raises(ValueError, match="projection"):
-            tcn_block_forward(x, self._block(5, 3, 3), 1, residual=True)
+            tcn_block_forward(x, self._block(5, 3, 3), 1)
 
 
 class TestModelForward:
@@ -343,16 +325,13 @@ class TestReceptiveWindow:
 
     # kernel 3, blocks dilated 1, 2, 4: W = 15; 4 -> 6 channels needs a projection
     @staticmethod
-    def config(placement, mask_mode):
-        return small_config(
-            filters=(6, 5, 5), attention_placement=placement, mask_mode=mask_mode, dropout=0.3, d_k=3
-        )
+    def config(placement):
+        return small_config(filters=(6, 5, 5), attention_placement=placement, dropout=0.3, d_k=3)
 
     @pytest.mark.parametrize("t_len", [9, 15, 40])  # below, at and above W
-    @pytest.mark.parametrize("mask_mode", list(MaskMode))
     @pytest.mark.parametrize("placement", list(AttentionPlacement))
-    def test_matches_full_length_oracle(self, placement, mask_mode, t_len):
-        cfg = self.config(placement, mask_mode)
+    def test_matches_full_length_oracle(self, placement, t_len):
+        cfg = self.config(placement)
         assert receptive_field(cfg) == 15
         x_data = np.random.default_rng(40).standard_normal((2, 3, t_len, cfg.in_features))
         labels = np.array([2, 0])
@@ -376,13 +355,14 @@ class TestReceptiveWindow:
             assert close(ours_g[name], full_g[name]), name
 
     def test_dropout_masks_match_the_full_pass(self, monkeypatch):
-        # with every weight positive nothing else can zero a unit, so the head's
-        # features are zero exactly where the full pass dropped them
-        cfg = self.config(AttentionPlacement.NONE, MaskMode.NEG_INF)
-        cfg = dataclasses.replace(cfg, dropout=0.5, filters=(6,), residual=False)
+        # with every weight positive and the residual projection zero, nothing
+        # else can zero a unit, so the head's features are zero exactly where
+        # the full pass dropped them
+        cfg = dataclasses.replace(self.config(AttentionPlacement.NONE), dropout=0.5, filters=(6,))
         params = init_model(cfg, np.random.default_rng(43))
         for p in params.named().values():
             p.data = np.abs(p.data) + 0.01
+        params.blocks[0].proj.data = np.zeros_like(params.blocks[0].proj.data)
         x = np.random.default_rng(44).uniform(0.5, 1.0, (4, 3, 30, cfg.in_features))
         _, acts = model_forward(x, params, cfg, True, np.random.default_rng(45), return_activations=True)
         full = acts["features"].data
@@ -551,7 +531,7 @@ class TestStages:
     @pytest.mark.parametrize("placement", [p.value for p in AttentionPlacement])
     @pytest.mark.parametrize(
         "overrides",
-        [{}, {"filters": (6, 8), "in_features": 5, "d_k": 3, "kernel": 4}, {"residual": False}],
+        [{}, {"filters": (6, 8), "in_features": 5, "d_k": 3, "kernel": 4}, {"filters": (30, 30)}],
     )
     def test_steps_init_and_count_follow_the_stages(self, placement, overrides):
         cfg = ModelConfig(attention_placement=placement, **overrides)
@@ -576,7 +556,7 @@ class TestStages:
         total = sum(2 * cfg.d_k * s.width + s.width**2 for s in stages if s.key is not None)
         for s, c_out in zip([s for s in stages if s.key is None], cfg.filters):
             total += c_out * s.width * cfg.kernel + c_out
-            total += c_out * s.width if cfg.residual and c_out != s.width else 0
+            total += c_out * s.width if c_out != s.width else 0
         head_in = cfg.filters[-1] if cfg.filters else cfg.in_features
         return total + cfg.n_classes * head_in + cfg.n_classes
 
@@ -628,10 +608,16 @@ def _write_legacy_checkpoint(path, params, header: dict) -> None:
 
 
 def _legacy_header(cfg: ModelConfig, **changes) -> dict:
-    """The config echo of checkpoints that still carried `layers` and
-    `dilations` next to `filters`."""
+    """The config echo of version 1 checkpoints, which also carried `layers`
+    and `dilations` (derived from `filters`), `mask_mode` and `residual`."""
     depth = len(cfg.filters)
-    header = dict(model_config_to_dict(cfg), layers=depth, dilations=[2**m for m in range(depth)])
+    header = dict(
+        model_config_to_dict(cfg),
+        layers=depth,
+        dilations=[2**m for m in range(depth)],
+        mask_mode="neg_inf",
+        residual=True,
+    )
     header.update(changes)
     return header
 
@@ -659,7 +645,15 @@ class TestLegacyCheckpointHeader:
         assert resaved.read_bytes() == expected.read_bytes()
 
     @pytest.mark.parametrize(
-        "key, value", [("layers", 2), ("layers", 4), ("dilations", [1, 2, 3]), ("dilations", [1, 2])]
+        "key, value",
+        [
+            ("layers", 2),
+            ("layers", 4),
+            ("dilations", [1, 2, 3]),
+            ("dilations", [1, 2]),
+            ("mask_mode", "zero_literal"),
+            ("residual", False),
+        ],
     )
     def test_disagreeing_key_rejected_by_name(self, tmp_path, key, value):
         cfg = small_config()
@@ -674,9 +668,8 @@ class TestLegacyCheckpointHeader:
 def test_config_validation():
     with pytest.raises(ValueError, match="dropout"):
         ModelConfig(dropout=1.0)
-    cfg = ModelConfig(attention_placement="post_tcn", mask_mode="zero_literal")
+    cfg = ModelConfig(attention_placement="post_tcn")
     assert cfg.attention_placement is AttentionPlacement.POST_TCN
-    assert cfg.mask_mode is MaskMode.ZERO_LITERAL
 
 
 @pytest.mark.parametrize("filters", [(4, 0, 0), (4, 0, 4), (0,), (-1, 8)])

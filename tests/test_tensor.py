@@ -192,32 +192,28 @@ class TestMask:
     """The test-local reference mask (the composed chain's masking step)."""
 
     def test_one_by_one_unchanged(self):
-        y = lower_triangular_mask(Tensor([[3.5]]), "neg_inf")
+        y = lower_triangular_mask(Tensor([[3.5]]))
         assert np.array_equal(y.data, [[3.5]])
 
     def test_neg_inf_mode(self):
-        y = lower_triangular_mask(Tensor([[1.0, 2.0], [3.0, 4.0]]), "neg_inf")
+        y = lower_triangular_mask(Tensor([[1.0, 2.0], [3.0, 4.0]]))
         assert np.array_equal(y.data, [[1.0, -np.inf], [3.0, 4.0]])
-
-    def test_zero_literal_mode(self):
-        y = lower_triangular_mask(Tensor([[1.0, 2.0], [3.0, 4.0]]), "zero_literal")
-        assert np.array_equal(y.data, [[1.0, 0.0], [3.0, 4.0]])
 
     def test_offset_block(self):
         # two query rows at the last two of three steps
-        y = lower_triangular_mask(Tensor([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]), "neg_inf")
+        y = lower_triangular_mask(Tensor([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]))
         assert np.array_equal(y.data, [[1.0, 2.0, -np.inf], [4.0, 5.0, 6.0]])
 
     def test_more_rows_than_columns_rejected(self):
         with pytest.raises(ValueError):
-            lower_triangular_mask(Tensor(np.ones((3, 2))), "neg_inf")
+            lower_triangular_mask(Tensor(np.ones((3, 2))))
 
 
-def attention_weights(scores, mode):
+def attention_weights(scores):
     """Weights of `causal_attention` on given W x T scores: q = scores, k = I
     and v = I make q k^T = scores and the output equal to the weights."""
     eye = Tensor(np.eye(np.shape(scores)[-1]))
-    return T.causal_attention(Tensor(scores), eye, eye, 1.0, mode).data
+    return T.causal_attention(Tensor(scores), eye, eye, 1.0).data
 
 
 def softmax(row):
@@ -232,14 +228,8 @@ class TestCausalAttention:
         assert np.array_equal(out.data, v)
 
     def test_neg_inf_weights(self):
-        w = attention_weights([[1.0, 2.0], [3.0, 4.0]], "neg_inf")
+        w = attention_weights([[1.0, 2.0], [3.0, 4.0]])
         assert np.array_equal(w[0], [1.0, 0.0])
-        assert np.allclose(w[1], softmax([3.0, 4.0]), rtol=0.0, atol=1e-15)
-
-    def test_zero_literal_weights_leak(self):
-        # the masked entry scores 0.0, so it keeps weight e^0 / (e^1 + e^0)
-        w = attention_weights([[1.0, 2.0], [3.0, 4.0]], "zero_literal")
-        assert np.allclose(w[0], softmax([1.0, 0.0]), rtol=0.0, atol=1e-15)
         assert np.allclose(w[1], softmax([3.0, 4.0]), rtol=0.0, atol=1e-15)
 
     def test_more_query_rows_than_keys_rejected(self):
@@ -250,14 +240,13 @@ class TestCausalAttention:
         with pytest.raises(ValueError, match="steps"):
             T.causal_attention(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 3))), Tensor(np.ones((4, 4))), 1.0)
 
-    @pytest.mark.parametrize("mode", ["neg_inf", "zero_literal"])
-    def test_square_call_bitwise_equal_to_parent(self, mode):
+    def test_square_call_bitwise_equal_to_parent(self):
         # W = T is the parent's square causal attention, bit for bit
         rng = np.random.default_rng(31)
         arrays = [rng.standard_normal((3, 9, 4)), rng.standard_normal((3, 9, 4)), rng.standard_normal((3, 9, 5))]
-        ours = _forward_backward(lambda q, k, v: T.causal_attention(q, k, v, 0.7, mode), arrays, [True] * 3, seed=3)
+        ours = _forward_backward(lambda q, k, v: T.causal_attention(q, k, v, 0.7), arrays, [True] * 3, seed=3)
         theirs = _forward_backward(
-            lambda q, k, v: kernel_reference.causal_attention(q, k, v, 0.7, mode), arrays, [True] * 3, seed=3
+            lambda q, k, v: kernel_reference.causal_attention(q, k, v, 0.7), arrays, [True] * 3, seed=3
         )
         _assert_same_bits(ours, theirs)
 
@@ -266,7 +255,7 @@ class TestCausalAttention:
         rng = np.random.default_rng(rows * 10 + t_len)
         reach = t_len - rows  # row i attends keys 0..reach + i
         visible = np.arange(t_len)[None, :] <= reach + np.arange(rows)[:, None]
-        w = attention_weights(rng.standard_normal((rows, t_len)), "neg_inf")
+        w = attention_weights(rng.standard_normal((rows, t_len)))
         assert np.array_equal(w > 0.0, visible)
         q, k, v = (rng.standard_normal((rows if i == 0 else t_len, 3)) for i in range(3))
         base = T.causal_attention(Tensor(q), Tensor(k), Tensor(v), 0.5).data
@@ -278,35 +267,28 @@ class TestCausalAttention:
             changed = np.any(out != base, axis=-1)
             assert np.array_equal(changed, visible[:, j]), f"key step {j}"
 
-    def test_unknown_mode_rejected(self):
-        x = Tensor(np.ones((2, 2)))
-        with pytest.raises(ValueError, match="mode"):
-            T.causal_attention(x, x, x, 1.0, "upper")
-
-    @pytest.mark.parametrize("mode", ["neg_inf", "zero_literal"])
     @pytest.mark.parametrize(
         "qk_shape, v_shape",
         [((3, 7, 4), (3, 7, 5)), ((6, 2), (6, 3)), ((1, 3), (1, 2)), ((2, 1, 4), (2, 1, 4))],
     )
-    def test_bitwise_equal_to_composed_chain(self, mode, qk_shape, v_shape):
+    def test_bitwise_equal_to_composed_chain(self, qk_shape, v_shape):
         rng = np.random.default_rng(len(qk_shape) * 100 + qk_shape[-2])
         arrays = [rng.standard_normal(qk_shape), rng.standard_normal(qk_shape), rng.standard_normal(v_shape)]
         coeffs = Tensor(rng.standard_normal(v_shape))
         results = []
         for attend in (T.causal_attention, reference_attention):
             q, k, v = (Tensor(a.copy(), requires_grad=True) for a in arrays)
-            out = attend(q, k, v, 1.0 / math.sqrt(qk_shape[-1]), mode)
+            out = attend(q, k, v, 1.0 / math.sqrt(qk_shape[-1]))
             T.sum_over(T.mul(out, coeffs)).backward()
             results.append((out.data, q.grad, k.grad, v.grad))
         for fused, composed, name in zip(*results, ("output", "q.grad", "k.grad", "v.grad")):
             assert np.array_equal(fused, composed), name
 
-    @pytest.mark.parametrize("mode", ["neg_inf", "zero_literal"])
     @pytest.mark.parametrize(
         "q_shape, k_shape, v_shape",
         [((3, 2, 4), (3, 7, 4), (3, 7, 5)), ((1, 3), (6, 3), (6, 2)), ((2, 4, 2), (1, 5, 2), (2, 5, 3))],
     )
-    def test_offset_bitwise_equal_to_composed_chain(self, mode, q_shape, k_shape, v_shape):
+    def test_offset_bitwise_equal_to_composed_chain(self, q_shape, k_shape, v_shape):
         rng = np.random.default_rng(q_shape[-2] * 10 + k_shape[-2])
         arrays = [rng.standard_normal(q_shape), rng.standard_normal(k_shape), rng.standard_normal(v_shape)]
         out_shape = np.broadcast_shapes(q_shape[:-2], v_shape[:-2]) + (q_shape[-2], v_shape[-1])
@@ -314,7 +296,7 @@ class TestCausalAttention:
         results = []
         for attend in (T.causal_attention, reference_attention):
             q, k, v = (Tensor(a.copy(), requires_grad=True) for a in arrays)
-            out = attend(q, k, v, 0.45, mode)
+            out = attend(q, k, v, 0.45)
             T.sum_over(T.mul(out, coeffs)).backward()
             results.append((out.data, q.grad, k.grad, v.grad))
         for fused, composed, name in zip(*results, ("output", "q.grad", "k.grad", "v.grad")):
@@ -406,7 +388,6 @@ class TestFanOut:
         _assert_same_on_workers(monkeypatch, 2, op, arrays, [False, False, False])
 
     @pytest.mark.parametrize("workers", [2, 3])
-    @pytest.mark.parametrize("mode", ["neg_inf", "zero_literal"])
     @pytest.mark.parametrize(
         "q_shape, k_shape, v_shape",
         [
@@ -418,10 +399,10 @@ class TestFanOut:
             ((5, 2, 3), (5, 6, 3), (5, 6, 4)),  # query rows at the last 2 of 6 steps
         ],
     )
-    def test_attention_bitwise_equal_to_one_worker(self, monkeypatch, workers, mode, q_shape, k_shape, v_shape):
+    def test_attention_bitwise_equal_to_one_worker(self, monkeypatch, workers, q_shape, k_shape, v_shape):
         rng = np.random.default_rng(q_shape[-2] * 7 + len(q_shape))
         arrays = [rng.standard_normal(q_shape), rng.standard_normal(k_shape), rng.standard_normal(v_shape)]
-        op = lambda q, k, v: T.causal_attention(q, k, v, 0.6, mode)  # noqa: E731
+        op = lambda q, k, v: T.causal_attention(q, k, v, 0.6)  # noqa: E731
         _assert_same_on_workers(monkeypatch, workers, op, arrays, [True, True, True])
         _assert_same_on_workers(monkeypatch, workers, op, arrays, [False, True, False])
 
@@ -556,7 +537,6 @@ class TestChunkedKernels:
 
     @pytest.mark.parametrize("budget", CHUNK_BUDGETS)
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    @pytest.mark.parametrize("mode", ["neg_inf", "zero_literal"])
     @pytest.mark.parametrize(
         "q_shape, k_shape, v_shape",
         [
@@ -567,15 +547,15 @@ class TestChunkedKernels:
             ((5, 100, 4), (5, 100, 4), (5, 100, 3)),  # default budget: backward chunks of 2
         ],
     )
-    def test_attention_bitwise_equal_to_parent(self, monkeypatch, budget, workers, mode, q_shape, k_shape, v_shape):
+    def test_attention_bitwise_equal_to_parent(self, monkeypatch, budget, workers, q_shape, k_shape, v_shape):
         monkeypatch.setattr(T, "_CHUNK_BYTES", budget)
         monkeypatch.setattr(T, "_WORKERS", workers)
         rng = np.random.default_rng(q_shape[-2] * 7 + len(q_shape))
         arrays = [rng.standard_normal(q_shape), rng.standard_normal(k_shape), rng.standard_normal(v_shape)]
         for needs in ([True, True, True], [False, True, False], [True, False, False]):
-            ours = _forward_backward(lambda q, k, v: T.causal_attention(q, k, v, 0.6, mode), arrays, needs, seed=2)
+            ours = _forward_backward(lambda q, k, v: T.causal_attention(q, k, v, 0.6), arrays, needs, seed=2)
             theirs = _forward_backward(
-                lambda q, k, v: kernel_reference.causal_attention(q, k, v, 0.6, mode), arrays, needs, seed=2
+                lambda q, k, v: kernel_reference.causal_attention(q, k, v, 0.6), arrays, needs, seed=2
             )
             _assert_same_bits(ours, theirs)
 
