@@ -121,8 +121,9 @@ class TestFusedAttention:
     """`tensor.causal_attention` against the composed chain it replaced."""
 
     @pytest.mark.parametrize("t_len", [1, 20])
+    @pytest.mark.parametrize("training", [True, False])  # dropout on and off
     @pytest.mark.parametrize("placement", list(AttentionPlacement))
-    def test_model_bitwise_equal_to_composed_chain(self, monkeypatch, placement, t_len):
+    def test_model_bitwise_equal_to_composed_chain(self, monkeypatch, placement, training, t_len):
         cfg = small_config(attention_placement=placement, dropout=0.3, d_k=3)
         x_data = np.random.default_rng(10).standard_normal((2, 3, t_len, cfg.in_features))
         labels = np.array([1, 4])
@@ -131,7 +132,7 @@ class TestFusedAttention:
             monkeypatch.setattr(model_mod, "attention_forward", attend)
             params = init_model(cfg, np.random.default_rng(11))
             x = Tensor(x_data.copy(), requires_grad=True)
-            probs = model_forward(x, params, cfg, training=True, rng=np.random.default_rng(12))
+            probs = model_forward(x, params, cfg, training=training, rng=np.random.default_rng(12))
             T.cross_entropy_mean(probs, labels).backward()
             grads = {name: p.grad for name, p in params.named().items()}
             runs.append((probs.data, x.grad, grads))
@@ -329,8 +330,9 @@ class TestReceptiveWindow:
         return small_config(filters=(6, 5, 5), attention_placement=placement, dropout=0.3, d_k=3)
 
     @pytest.mark.parametrize("t_len", [9, 15, 40])  # below, at and above W
+    @pytest.mark.parametrize("training", [True, False])  # dropout on and off
     @pytest.mark.parametrize("placement", list(AttentionPlacement))
-    def test_matches_full_length_oracle(self, placement, t_len):
+    def test_matches_full_length_oracle(self, placement, training, t_len):
         cfg = self.config(placement)
         assert receptive_field(cfg) == 15
         x_data = np.random.default_rng(40).standard_normal((2, 3, t_len, cfg.in_features))
@@ -339,7 +341,7 @@ class TestReceptiveWindow:
         for forward in (model_forward, full_length_forward):
             params = init_model(cfg, np.random.default_rng(41))
             x = Tensor(x_data.copy(), requires_grad=True)
-            probs = forward(x, params, cfg, True, np.random.default_rng(42))
+            probs = forward(x, params, cfg, training, np.random.default_rng(42))
             T.cross_entropy_mean(probs, labels).backward()
             grads = {name: p.grad for name, p in params.named().items()}
             runs.append((probs.data, x.grad, grads))

@@ -221,6 +221,24 @@ def softmax(row):
     return e / e.sum()
 
 
+# Input kinds for the attention bitwise tests. Post-TCN attention reads
+# ReLU features, about half of them exact zeros, so zeros get their own kind.
+ATTENTION_INPUTS = ["normal", "signed_zeros"]
+
+
+def attention_arrays(rng, shapes, inputs):
+    """Standard normal q, k and v. With "signed_zeros" about half of the
+    entries become +0.0 or -0.0 and the first query row is all -0.0, so
+    scores tie exactly and zero products carry both signs."""
+    arrays = [rng.standard_normal(shape) for shape in shapes]
+    if inputs == "signed_zeros":
+        for a in arrays:
+            zero = rng.random(a.shape) < 0.5
+            a[zero] = np.copysign(0.0, a[zero])
+        arrays[0][..., :1, :] = -0.0
+    return arrays
+
+
 class TestCausalAttention:
     def test_one_step_returns_value(self):
         v = np.array([[0.5, -2.0, 3.0]])
@@ -240,10 +258,11 @@ class TestCausalAttention:
         with pytest.raises(ValueError, match="steps"):
             T.causal_attention(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 3))), Tensor(np.ones((4, 4))), 1.0)
 
-    def test_square_call_bitwise_equal_to_parent(self):
+    @pytest.mark.parametrize("inputs", ATTENTION_INPUTS)
+    def test_square_call_bitwise_equal_to_parent(self, inputs):
         # W = T is the parent's square causal attention, bit for bit
         rng = np.random.default_rng(31)
-        arrays = [rng.standard_normal((3, 9, 4)), rng.standard_normal((3, 9, 4)), rng.standard_normal((3, 9, 5))]
+        arrays = attention_arrays(rng, [(3, 9, 4), (3, 9, 4), (3, 9, 5)], inputs)
         ours = _forward_backward(lambda q, k, v: T.causal_attention(q, k, v, 0.7), arrays, [True] * 3, seed=3)
         theirs = _forward_backward(
             lambda q, k, v: kernel_reference.causal_attention(q, k, v, 0.7), arrays, [True] * 3, seed=3
@@ -267,13 +286,14 @@ class TestCausalAttention:
             changed = np.any(out != base, axis=-1)
             assert np.array_equal(changed, visible[:, j]), f"key step {j}"
 
+    @pytest.mark.parametrize("inputs", ATTENTION_INPUTS)
     @pytest.mark.parametrize(
         "qk_shape, v_shape",
         [((3, 7, 4), (3, 7, 5)), ((6, 2), (6, 3)), ((1, 3), (1, 2)), ((2, 1, 4), (2, 1, 4))],
     )
-    def test_bitwise_equal_to_composed_chain(self, qk_shape, v_shape):
+    def test_bitwise_equal_to_composed_chain(self, inputs, qk_shape, v_shape):
         rng = np.random.default_rng(len(qk_shape) * 100 + qk_shape[-2])
-        arrays = [rng.standard_normal(qk_shape), rng.standard_normal(qk_shape), rng.standard_normal(v_shape)]
+        arrays = attention_arrays(rng, [qk_shape, qk_shape, v_shape], inputs)
         coeffs = Tensor(rng.standard_normal(v_shape))
         results = []
         for attend in (T.causal_attention, reference_attention):
@@ -284,13 +304,14 @@ class TestCausalAttention:
         for fused, composed, name in zip(*results, ("output", "q.grad", "k.grad", "v.grad")):
             assert np.array_equal(fused, composed), name
 
+    @pytest.mark.parametrize("inputs", ATTENTION_INPUTS)
     @pytest.mark.parametrize(
         "q_shape, k_shape, v_shape",
         [((3, 2, 4), (3, 7, 4), (3, 7, 5)), ((1, 3), (6, 3), (6, 2)), ((2, 4, 2), (1, 5, 2), (2, 5, 3))],
     )
-    def test_offset_bitwise_equal_to_composed_chain(self, q_shape, k_shape, v_shape):
+    def test_offset_bitwise_equal_to_composed_chain(self, inputs, q_shape, k_shape, v_shape):
         rng = np.random.default_rng(q_shape[-2] * 10 + k_shape[-2])
-        arrays = [rng.standard_normal(q_shape), rng.standard_normal(k_shape), rng.standard_normal(v_shape)]
+        arrays = attention_arrays(rng, [q_shape, k_shape, v_shape], inputs)
         out_shape = np.broadcast_shapes(q_shape[:-2], v_shape[:-2]) + (q_shape[-2], v_shape[-1])
         coeffs = Tensor(rng.standard_normal(out_shape))
         results = []
@@ -388,6 +409,7 @@ class TestFanOut:
         _assert_same_on_workers(monkeypatch, 2, op, arrays, [False, False, False])
 
     @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("inputs", ATTENTION_INPUTS)
     @pytest.mark.parametrize(
         "q_shape, k_shape, v_shape",
         [
@@ -399,9 +421,9 @@ class TestFanOut:
             ((5, 2, 3), (5, 6, 3), (5, 6, 4)),  # query rows at the last 2 of 6 steps
         ],
     )
-    def test_attention_bitwise_equal_to_one_worker(self, monkeypatch, workers, q_shape, k_shape, v_shape):
+    def test_attention_bitwise_equal_to_one_worker(self, monkeypatch, workers, inputs, q_shape, k_shape, v_shape):
         rng = np.random.default_rng(q_shape[-2] * 7 + len(q_shape))
-        arrays = [rng.standard_normal(q_shape), rng.standard_normal(k_shape), rng.standard_normal(v_shape)]
+        arrays = attention_arrays(rng, [q_shape, k_shape, v_shape], inputs)
         op = lambda q, k, v: T.causal_attention(q, k, v, 0.6)  # noqa: E731
         _assert_same_on_workers(monkeypatch, workers, op, arrays, [True, True, True])
         _assert_same_on_workers(monkeypatch, workers, op, arrays, [False, True, False])
@@ -537,6 +559,7 @@ class TestChunkedKernels:
 
     @pytest.mark.parametrize("budget", CHUNK_BUDGETS)
     @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("inputs", ATTENTION_INPUTS)
     @pytest.mark.parametrize(
         "q_shape, k_shape, v_shape",
         [
@@ -547,11 +570,11 @@ class TestChunkedKernels:
             ((5, 100, 4), (5, 100, 4), (5, 100, 3)),  # default budget: backward chunks of 2
         ],
     )
-    def test_attention_bitwise_equal_to_parent(self, monkeypatch, budget, workers, q_shape, k_shape, v_shape):
+    def test_attention_bitwise_equal_to_parent(self, monkeypatch, budget, workers, inputs, q_shape, k_shape, v_shape):
         monkeypatch.setattr(T, "_CHUNK_BYTES", budget)
         monkeypatch.setattr(T, "_WORKERS", workers)
         rng = np.random.default_rng(q_shape[-2] * 7 + len(q_shape))
-        arrays = [rng.standard_normal(q_shape), rng.standard_normal(k_shape), rng.standard_normal(v_shape)]
+        arrays = attention_arrays(rng, [q_shape, k_shape, v_shape], inputs)
         for needs in ([True, True, True], [False, True, False], [True, False, False]):
             ours = _forward_backward(lambda q, k, v: T.causal_attention(q, k, v, 0.6), arrays, needs, seed=2)
             theirs = _forward_backward(
