@@ -336,6 +336,9 @@ class SyntheticSpec:
         for name in ("n_t", "n_r", "n_p", "n_s"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        for name in ("mod_depth", "profile_depth", "base_amplitude", "noise_amp", "scale_jitter", "phase_jitter"):
+            if getattr(self, name) < 0.0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 def synthesize_recording(spec: SyntheticSpec, class_id: int, trial_id: int) -> CsiRecording:

@@ -171,6 +171,24 @@ class ModelParams:
         out["head.b"] = self.head_b
         return out
 
+    def detached(self) -> "ModelParams":
+        """The same parameters as new tensors that wrap the same arrays and
+        require no grad, so a forward over them records no graph. The
+        tensors of `self` are left as they are."""
+
+        def frozen(t: Optional[Tensor]) -> Optional[Tensor]:
+            return None if t is None else Tensor(t.data)
+
+        return ModelParams(
+            attention={
+                key: AttentionParams(frozen(ap.w_q), frozen(ap.w_k), frozen(ap.w_v))
+                for key, ap in self.attention.items()
+            },
+            blocks=[TcnBlockParams(frozen(b.w), frozen(b.b), frozen(b.proj)) for b in self.blocks],
+            head_w=frozen(self.head_w),
+            head_b=frozen(self.head_b),
+        )
+
 
 def _glorot(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, fan_out: int) -> Tensor:
     limit = math.sqrt(6.0 / (fan_in + fan_out))

@@ -215,40 +215,50 @@ class Metrics:
 
 
 def _labels(dataset: Sequence[PreprocessedSample]) -> np.ndarray:
-    """The labels of a non-empty, fully labelled dataset, without its data."""
+    """The labels of a non-empty, fully labelled dataset whose samples all
+    share one shape, so that any batch of it stacks. Reads no sample data."""
     if not dataset:
         raise ValueError("dataset is empty")
     labels = [s.label for s in dataset]
     if None in labels:
         raise ValueError("all samples must be labelled")
-    return np.array(labels, dtype=np.int64)
-
-
-def _stack(dataset: Sequence[PreprocessedSample]) -> tuple[np.ndarray, np.ndarray]:
-    labels = _labels(dataset)
     shape = dataset[0].data.shape
     for s in dataset:
         if s.data.shape != shape:
             raise ValueError(f"inconsistent sample shapes: {s.data.shape} vs {shape}")
-    return np.stack([s.data for s in dataset]), labels
+    return np.array(labels, dtype=np.int64)
+
+
+def _batch(dataset: Sequence[PreprocessedSample], idx) -> np.ndarray:
+    """The samples at `idx`, in that order, stacked into one new array."""
+    return np.stack([dataset[i].data for i in idx])
 
 
 def _eval_arrays(
     params: ModelParams,
     model_cfg: ModelConfig,
-    data: np.ndarray,
+    dataset: Sequence[PreprocessedSample],
     labels: np.ndarray,
     batch_size: int,
 ) -> tuple[float, float, np.ndarray]:
+    """(accuracy, mean loss, confusion matrix) of the eval-mode model over
+    `dataset` in order, `batch_size` samples at a time.
+
+    The forwards run over `params.detached()`, which shares the parameter
+    arrays but requires no grad, so no graph is recorded: each intermediate
+    is freed once the next stage has replaced it, and only one batch is held
+    at a time. The caller's tensors, their flags and gradients are untouched.
+    """
+    frozen = params.detached()
     n = len(labels)
     confusion = np.zeros((model_cfg.n_classes, model_cfg.n_classes), dtype=np.int64)
     loss_sum = 0.0
     for start in range(0, n, batch_size):
-        idx = np.arange(start, min(start + batch_size, n))
-        probs = model_forward(data[idx], params, model_cfg, training=False)
-        loss = cross_entropy_mean(probs, labels[idx])
-        loss_sum += float(loss.data) * len(idx)
-        np.add.at(confusion, (labels[idx], probs.data.argmax(axis=1)), 1)
+        stop = min(start + batch_size, n)
+        probs = model_forward(_batch(dataset, range(start, stop)), frozen, model_cfg, training=False)
+        loss = cross_entropy_mean(probs, labels[start:stop])
+        loss_sum += float(loss.data) * (stop - start)
+        np.add.at(confusion, (labels[start:stop], probs.data.argmax(axis=1)), 1)
     accuracy = float(np.trace(confusion)) / n
     return accuracy, loss_sum / n, confusion
 
@@ -259,10 +269,13 @@ def evaluate(
     dataset: Sequence[PreprocessedSample],
     batch_size: int = 32,
 ) -> tuple[float, float, np.ndarray]:
-    """(accuracy, mean loss, confusion matrix) of the eval-mode model."""
-    data, labels = _stack(dataset)
+    """(accuracy, mean loss, confusion matrix) of the eval-mode model.
+
+    Batches are stacked from the sample list in order, one at a time, and
+    the forwards build no graph (see `_eval_arrays`)."""
+    labels = _labels(dataset)
     with _single_threaded_blas():
-        return _eval_arrays(params, model_cfg, data, labels, batch_size)
+        return _eval_arrays(params, model_cfg, dataset, labels, batch_size)
 
 
 def train(
@@ -281,11 +294,16 @@ def train(
     non-finite model output (hence loss) or parameter gradient raises
     ValueError naming the epoch and batch, both counted from 0, before the
     optimizer step.
+
+    Memory: no split is copied. Each training batch is stacked from the
+    sample list in the epoch's shuffled order, and each validation batch in
+    list order by `_eval_arrays`, which records no graph. Beyond the loaded
+    samples, training holds one batch and its graph at a time.
     """
-    data, labels = _stack(dataset)
+    labels = _labels(dataset)
     if len(np.unique(labels)) < 2:
         raise ValueError("training requires at least 2 classes")
-    val_arrays = _stack(val_dataset) if val_dataset else None
+    val_labels = _labels(val_dataset) if val_dataset else None
 
     params = init_model(model_cfg, named_rng(train_cfg.seed, "init"))
     named = params.named()
@@ -305,7 +323,7 @@ def train(
             for batch, start in enumerate(range(0, n, train_cfg.batch_size)):
                 idx = order[start : start + train_cfg.batch_size]
                 probs = model_forward(
-                    data[idx], params, model_cfg, training=True, rng=dropout_rng
+                    _batch(dataset, idx), params, model_cfg, training=True, rng=dropout_rng
                 )
                 if not np.all(np.isfinite(probs.data)):
                     raise ValueError(
@@ -327,17 +345,17 @@ def train(
                 correct += int((probs.data.argmax(axis=1) == labels[idx]).sum())
             metrics.train_accuracy.append(correct / n)
             metrics.train_loss.append(loss_sum / n)
-            if val_arrays is not None:
+            if val_labels is not None:
                 acc, vloss, confusion = _eval_arrays(
-                    params, model_cfg, *val_arrays, train_cfg.batch_size
+                    params, model_cfg, val_dataset, val_labels, train_cfg.batch_size
                 )
                 metrics.val_accuracy.append(acc)
                 metrics.val_loss.append(vloss)
                 metrics.confusion = confusion
             metrics.epoch_seconds.append(time.perf_counter() - started)
-        if val_arrays is not None and metrics.confusion is None:
+        if val_labels is not None and metrics.confusion is None:
             _, _, metrics.confusion = _eval_arrays(
-                params, model_cfg, *val_arrays, train_cfg.batch_size
+                params, model_cfg, val_dataset, val_labels, train_cfg.batch_size
             )
     return params, metrics
 
@@ -468,11 +486,18 @@ def ablate(
     Validation is fold 0 of the stratified k-fold plan; an `augment` sweep
     expands only the training split. Values for `augment` are "none" or
     "+"-joined method names (e.g. "dropout+mix_same"). Every value is parsed
-    and checked before the first point trains.
+    and checked before the first point trains, and two values that parse to
+    the same point are refused by name.
     """
     if sweep not in SWEEP_KINDS:
         raise ValueError(f"unknown sweep {sweep!r}, expected one of {SWEEP_KINDS}")
-    points = [(value, _sweep_point(sweep, value, model_cfg, train_cfg, augment_cfg)) for value in values]
+    points = []
+    for value in values:
+        point = _sweep_point(sweep, value, model_cfg, train_cfg, augment_cfg)
+        for seen, seen_point in points:
+            if seen_point == point:
+                raise ValueError(f"{sweep} sweep values {seen!r} and {value!r} are the same point")
+        points.append((value, point))
     base_train, val_set = holdout_split(dataset, train_cfg)
 
     rows = []

@@ -380,6 +380,16 @@ def test_synth_rejects_more_classes_than_labels_before_writing(tmp_path, capsys)
     assert not out.exists()
 
 
+def test_synth_rejects_negative_noise_before_writing(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(CONFIG))
+    out = tmp_path / "raw"
+    code = main(["synth", "--config", str(cfg), "--set", "synth.noise_amp=-5", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == "error: invalid config section 'synth': noise_amp must be >= 0, got -5\n"
+    assert not out.exists()
+
+
 def test_failed_augment_writes_no_output_directory(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps(CONFIG))
@@ -754,8 +764,10 @@ def test_ablate_table(workspace, tmp_path):
         ("dropout", "0.1,1.5", "dropout sweep value '1.5': dropout must be in [0, 1)"),
         ("attention", "none,pre_tcn", "attention sweep value 'pre_tcn': 'pre_tcn' is not a valid AttentionPlacement"),
         ("augment", "none,dropout+mix", "augment sweep value 'dropout+mix': 'mix' is not a valid AugmentMethod"),
+        ("kernel", "2,3,02", "kernel sweep values '2' and '02' are the same point"),
+        ("augment", "dropout,none,dropout", "augment sweep values 'dropout' and 'dropout' are the same point"),
     ],
-    ids=["kernel_not_int", "kernel_zero", "dropout_range", "attention", "augment"],
+    ids=["kernel_not_int", "kernel_zero", "dropout_range", "attention", "augment", "kernel_repeat", "augment_repeat"],
 )
 def test_bad_sweep_value_fails_before_any_training(workspace, tmp_path, monkeypatch, capsys, sweep, values, message):
     root, cfg = workspace

@@ -254,3 +254,11 @@ class TestSynthetic:
     def test_invalid_spec(self):
         with pytest.raises(ValueError):
             SyntheticSpec(classes=1)
+
+    @pytest.mark.parametrize(
+        "name", ["noise_amp", "base_amplitude", "mod_depth", "profile_depth", "scale_jitter", "phase_jitter"]
+    )
+    def test_negative_setting_refused_by_name(self, name):
+        with pytest.raises(ValueError, match=f"^{name} must be >= 0, got -1.0$"):
+            SyntheticSpec(**{name: -1.0})
+        SyntheticSpec(**{name: 0.0})

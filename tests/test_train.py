@@ -2,8 +2,10 @@ import contextlib
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
+import tracemalloc
 import types
 
 import numpy as np
@@ -12,9 +14,9 @@ import pytest
 import csi_tcn
 from csi_tcn import train as train_mod
 from csi_tcn.dsp import PreprocessedSample
-from csi_tcn.model import ModelConfig, init_model
+from csi_tcn.model import ModelConfig, init_model, model_forward
 from csi_tcn.seeding import named_rng
-from csi_tcn.tensor import Tensor
+from csi_tcn.tensor import Tensor, cross_entropy_mean
 from csi_tcn.train import (
     AdamWState,
     TrainConfig,
@@ -328,6 +330,20 @@ class TestTraining:
             train(small_dataset, tiny_model(), TrainConfig(batch_size=4, epochs=2, seed=0))
         assert len(steps) == 6
 
+    @pytest.mark.parametrize("where", ["train", "validation", "evaluate"])
+    def test_inconsistent_shapes_rejected_before_any_forward(self, small_dataset, monkeypatch, where):
+        monkeypatch.setattr(train_mod, "model_forward", lambda *a, **k: pytest.fail("ran a forward"))
+        train_set, val_set = list(small_dataset[:12]), list(small_dataset[12:])
+        odd = train_set if where == "train" else val_set
+        good = odd[-1]
+        odd[-1] = PreprocessedSample(good.data[:, 1:], label=good.label)
+        message = f"inconsistent sample shapes: {odd[-1].data.shape} vs {good.data.shape}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            if where == "evaluate":
+                evaluate(init_model(tiny_model(), np.random.default_rng(0)), tiny_model(), val_set)
+            else:
+                train(train_set, tiny_model(), TrainConfig(batch_size=4, epochs=1), val_set)
+
     def test_single_class_rejected(self):
         dataset = build_dataset(classes=2, samples_per_class=3, n_p=64, seed=0)
         only_zero = [s for s in dataset if s.label == 0]
@@ -357,19 +373,143 @@ class TestTraining:
         assert np.array_equal(confusion, metrics.confusion)
 
 
+def _record_eval_forwards(monkeypatch, caller):
+    """Wrap `train.model_forward` so every eval-mode forward checks, before
+    and after it runs, that its parameters wrap the arrays of the caller's
+    parameters without requiring grad, and that the caller's parameters
+    still require grad and hold the same `.grad` objects. `caller()` gives
+    the caller's named parameters and the `.grad` each held beforehand.
+    Returns the list the eval-mode outputs are appended to."""
+    real_forward = train_mod.model_forward
+    outputs = []
+
+    def check(params):
+        named, grads = caller()
+        for name, t in params.named().items():
+            assert t is not named[name] and t.data is named[name].data and not t.requires_grad
+        for name, p in named.items():
+            assert p.requires_grad and p.grad is grads[name]
+
+    def forward(x, params, cfg, training=False, rng=None):
+        if not training:
+            check(params)
+        out = real_forward(x, params, cfg, training=training, rng=rng)
+        if not training:
+            check(params)
+            outputs.append(out)
+        return out
+
+    monkeypatch.setattr(train_mod, "model_forward", forward)
+    return outputs
+
+
+class TestGraphFreeEvaluation:
+    def test_evaluate_builds_no_graph_and_leaves_the_parameters(self, small_dataset, monkeypatch):
+        cfg = tiny_model()
+        params = init_model(cfg, np.random.default_rng(0))
+        named = params.named()
+        for p in named.values():
+            p.grad = np.full(p.shape, 0.5)
+        grads = {name: p.grad for name, p in named.items()}
+        outputs = _record_eval_forwards(monkeypatch, lambda: (named, grads))
+        evaluate(params, cfg, small_dataset, batch_size=4)
+        assert len(outputs) == 5  # 18 samples in batches of 4
+        for out in outputs:
+            assert not out.requires_grad and out._parents == () and out._backward is None
+        for name, p in named.items():
+            assert p.requires_grad and p.grad is grads[name] and np.all(p.grad == 0.5)
+
+    def test_train_validation_builds_no_graph_and_leaves_the_parameters(self, small_dataset, monkeypatch):
+        stepped = {}
+        real_step = train_mod.adamw_step
+
+        def step(params, grads, state, lr, weight_decay):
+            real_step(params, grads, state, lr, weight_decay)
+            stepped["named"] = params
+            stepped["grads"] = {name: p.grad for name, p in params.items()}
+
+        monkeypatch.setattr(train_mod, "adamw_step", step)
+        outputs = _record_eval_forwards(monkeypatch, lambda: (stepped["named"], stepped["grads"]))
+        train_set, val_set = small_dataset[:12], small_dataset[12:]
+        train(train_set, tiny_model(), TrainConfig(batch_size=4, epochs=2, seed=8), val_set)
+        assert len(outputs) == 4  # 6 validation samples in batches of 4, twice
+        for out in outputs:
+            assert not out.requires_grad and out._parents == () and out._backward is None
+        assert all(g is not None for g in stepped["grads"].values())
+
+    @pytest.mark.parametrize("placement", ["pre_tcn_only", "post_tcn", "every_layer", "none"])
+    def test_evaluate_is_bitwise_the_graph_building_forward(self, small_dataset, monkeypatch, placement):
+        cfg = tiny_model(attention_placement=placement)
+        params = init_model(cfg, np.random.default_rng(1))
+        seen = []
+        real_forward = train_mod.model_forward
+        monkeypatch.setattr(train_mod, "model_forward", lambda *a, **k: seen.append(real_forward(*a, **k)) or seen[-1])
+        accuracy, loss, confusion = evaluate(params, cfg, small_dataset, batch_size=4)
+
+        # The same batches forward over the grad-requiring parameters.
+        labels = np.array([s.label for s in small_dataset])
+        n = len(labels)
+        want_confusion = np.zeros((cfg.n_classes, cfg.n_classes), dtype=np.int64)
+        loss_sum = 0.0
+        for j, start in enumerate(range(0, n, 4)):
+            batch = np.stack([s.data for s in small_dataset[start : start + 4]])
+            probs = model_forward(batch, params, cfg, training=False)
+            assert probs.requires_grad
+            assert seen[j].data.tobytes() == probs.data.tobytes()
+            batch_labels = labels[start : start + 4]
+            loss_sum += float(cross_entropy_mean(probs, batch_labels).data) * len(batch_labels)
+            np.add.at(want_confusion, (batch_labels, probs.data.argmax(axis=1)), 1)
+        assert len(seen) == j + 1
+        assert np.array_equal(confusion, want_confusion)
+        assert accuracy == float(np.trace(want_confusion)) / n
+        assert loss == loss_sum / n
+
+
+class TestTrainMemory:
+    @staticmethod
+    def _traced_peak(*args) -> int:
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            train(*args)
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    def test_train_with_validation_peaks_near_one_step_not_near_a_split(self):
+        # Many samples in small batches: each split is many times one step's
+        # whole traced peak, so a copy of either split would show.
+        cfg = tiny_model()
+        rng = np.random.default_rng(0)
+
+        def samples(n):
+            return [PreprocessedSample(rng.uniform(-1.0, 1.0, (6, 256, 12)), label=i % 3) for i in range(n)]
+
+        train_set, val_set = samples(240), samples(160)
+        tc = TrainConfig(batch_size=2, epochs=1, seed=0)
+        step_peak = self._traced_peak(train_set[:2], cfg, tc)
+        assert sum(s.data.nbytes for s in val_set) > 5 * step_peak
+        peak = self._traced_peak(train_set, cfg, tc, val_set)
+        assert peak < 1.5 * step_peak, (peak, step_peak)
+
+
 class TestKFoldEvaluate:
-    def test_labels_read_without_stacking_the_whole_dataset(self, small_dataset, monkeypatch):
-        stacked = []
-        real_stack = train_mod._stack
+    def test_every_forward_reads_one_batch_and_every_sample_once_per_epoch(self, small_dataset, monkeypatch):
+        seen = {True: [], False: []}
+        real_forward = train_mod.model_forward
 
-        def recording_stack(dataset):
-            stacked.append(len(dataset))
-            return real_stack(dataset)
+        def recording_forward(x, params, cfg, training=False, rng=None):
+            seen[training].append(len(x))
+            return real_forward(x, params, cfg, training=training, rng=rng)
 
-        monkeypatch.setattr(train_mod, "_stack", recording_stack)
+        monkeypatch.setattr(train_mod, "model_forward", recording_forward)
         kfold_evaluate(small_dataset, tiny_model(), TrainConfig(batch_size=4, epochs=1, seed=2), k=3)
-        # Each fold stacks its own training and validation sets, never all samples.
-        assert len(stacked) == 6 and len(small_dataset) not in stacked
+        # No forward ever sees more than one batch; each fold trains on its
+        # training split and validates its own fold, so across the 3 folds
+        # every sample is trained on twice and validated once.
+        assert max(seen[True] + seen[False]) == 4
+        assert sum(seen[True]) == 2 * len(small_dataset)
+        assert sum(seen[False]) == len(small_dataset)
 
     def test_mean_is_arithmetic_mean(self, small_dataset):
         cfg = tiny_model()
@@ -400,6 +540,19 @@ class TestAblate:
         tc = TrainConfig(batch_size=4, epochs=1, seed=0, k_folds=3)
         rows = ablate(small_dataset, cfg, tc, "augment", ["none", "dropout+mix_same"])
         assert len(rows) == 2
+
+    @pytest.mark.parametrize(
+        "sweep, values, message",
+        [
+            ("dropout", [0.2, "0.20"], "dropout sweep values 0.2 and '0.20' are the same point"),
+            ("attention", ["none", "post_tcn", "none"], "attention sweep values 'none' and 'none' are the same point"),
+        ],
+    )
+    def test_repeated_point_refused_before_training(self, small_dataset, monkeypatch, sweep, values, message):
+        monkeypatch.setattr(train_mod, "train", lambda *a, **k: pytest.fail("trained a sweep point"))
+        tc = TrainConfig(batch_size=4, epochs=1, seed=0, k_folds=3)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ablate(small_dataset, tiny_model(), tc, sweep, values)
 
     def test_unknown_sweep_rejected(self, small_dataset):
         with pytest.raises(ValueError, match="sweep"):
