@@ -7,20 +7,27 @@ bit-exact (see `save_recording` / `load_recording`).
 
 Amplitude is a table lookup: every (re, im) int8 pair, read as one
 little-endian u16 code, indexes a 65,536-entry table of `np.hypot` values.
-`synthesize_recording` draws its noise serially, then builds each antenna
-pair's trig terms, envelope and quantized int8 grid on the kernel pool of
-`tensor._fan_out`; every buffer a worker writes is allocated before the
-fan-out, and each element's float operations are those of the whole-grid
-formula, so the bytes do not depend on the worker count.
+Synthesis is one formula with two drivers on the kernel pool of
+`tensor._fan_out`. Per recording, `_prepare` draws the rng stream (scalars,
+then both noise grids) and forms the per-trial terms, and `_build` forms each
+antenna pair's trig terms, envelope and quantized int8 grid; terms of the
+spec alone come from `_grid`. `generate_synthetic` hands each worker a
+contiguous run of recordings, which it prepares, builds pair after pair and
+writes one at a time; `synthesize_recording` prepares its one recording and
+builds its pairs on the pool. Every buffer a worker writes is allocated
+before the fan-out, and each element's float operations are those of the
+whole-grid formula, so the bytes do not depend on the driver or the worker
+count.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import struct
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -341,97 +348,184 @@ class SyntheticSpec:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
-def synthesize_recording(spec: SyntheticSpec, class_id: int, trial_id: int) -> CsiRecording:
-    """One trial of `class_id`, deterministic in (spec, class_id, trial_id)."""
+class _Grid(NamedTuple):
+    """Terms of the synthesis formula that depend on the spec alone."""
+
+    t: np.ndarray  # packet index, (n_p,)
+    s: np.ndarray  # subcarrier index, (n_s,)
+    pair_phase: np.ndarray  # modulation phase of each (pair, subcarrier), (pairs, 1, n_s)
+    carrier: np.ndarray  # (n_p, n_s)
+    pair_carrier: np.ndarray  # (pairs, 1, 1)
+
+
+class _Trial(NamedTuple):
+    """Terms of the synthesis formula for one (class, trial)."""
+
+    amp_gain: np.ndarray  # base * scale * gain, (n_s,)
+    mod_phase: np.ndarray  # (pairs, 1, n_s)
+    mod_arg: np.ndarray  # (n_p,)
+    carrier_phase: float
+
+
+class _Buffers(NamedTuple):
+    """What building one recording writes: both noise grids (None without
+    noise), the int8 grid, and each pair's highest and lowest rounded part."""
+
+    noise: Optional[np.ndarray]  # (2, pairs, n_p, n_s)
+    data: np.ndarray  # (pairs, n_p, n_s, 2) int8
+    highs: np.ndarray  # (pairs, 2)
+    lows: np.ndarray  # (pairs, 2)
+
+
+def _grid(spec: SyntheticSpec) -> _Grid:
+    t = np.arange(spec.n_p, dtype=np.float64)
+    s = np.arange(spec.n_s, dtype=np.float64)
+    p = np.arange(spec.n_t * spec.n_r, dtype=np.float64)
+    # Modulation phase spread over pairs/subcarriers keeps the 6 x 30 series
+    # distinct while sharing the class frequency.
+    pair_phase = 2.0 * math.pi * (0.13 * p[:, None, None] + 0.07 * s[None, None, :])
+    carrier = 0.21 * t[:, None] + 0.11 * s[None, :]
+    return _Grid(t, s, pair_phase, carrier, 0.05 * p[:, None, None])
+
+
+def _buffers(spec: SyntheticSpec) -> _Buffers:
+    pairs = spec.n_t * spec.n_r
+    noise = np.empty((2, pairs, spec.n_p, spec.n_s)) if spec.noise_amp > 0.0 else None
+    data = np.empty((pairs, spec.n_p, spec.n_s, 2), dtype=np.int8)
+    return _Buffers(noise, data, np.empty((pairs, 2)), np.empty((pairs, 2)))
+
+
+def _prepare(
+    spec: SyntheticSpec, grid: _Grid, class_id: int, trial_id: int, noise: Optional[np.ndarray]
+) -> _Trial:
+    """Draw the (class, trial)'s random terms, both noise grids into `noise`
+    included, in stream order, and form its per-trial terms."""
     check_label(class_id, spec.classes)
     freq = spec.freq_min + class_id / (spec.classes - 1) * (spec.freq_max - spec.freq_min)
     profile_cycles = class_id + 1
     rng = named_rng(spec.seed, "synth", class_id, trial_id)
 
-    pairs = spec.n_t * spec.n_r
-    t = np.arange(spec.n_p, dtype=np.float64)
-    s = np.arange(spec.n_s, dtype=np.float64)
-    p = np.arange(pairs, dtype=np.float64)
-
     scale = 1.0 + spec.scale_jitter * (2.0 * rng.random() - 1.0)
     trial_phase = 2.0 * math.pi * spec.phase_jitter * rng.random()
     carrier_phase = 2.0 * math.pi * spec.phase_jitter * rng.random()
-
-    gain = 1.0 + spec.profile_depth * np.cos(2.0 * math.pi * profile_cycles * s / spec.n_s)
-    amp_gain = spec.base_amplitude * scale * gain
-
-    # Modulation phase spread over pairs/subcarriers keeps the 6 x 30 series
-    # distinct while sharing the class frequency.
-    mod_phase = (
-        2.0 * math.pi * (0.13 * p[:, None, None] + 0.07 * s[None, None, :]) + trial_phase
-    )
-    mod_arg = 2.0 * math.pi * (freq * t)
-    carrier = 0.21 * t[:, None] + 0.11 * s[None, :]
-    pair_carrier = 0.05 * p[:, None, None]
-
-    # Both noise grids are drawn here, in stream order, before any pair is built.
-    noise = None
-    if spec.noise_amp > 0.0:
-        noise = np.empty((2, pairs, spec.n_p, spec.n_s))
+    if noise is not None:
         rng.standard_normal(out=noise[0])
         rng.standard_normal(out=noise[1])
-    data = np.empty((pairs, spec.n_p, spec.n_s, 2), dtype=np.int8)
-    highs = np.empty((pairs, 2))
-    lows = np.empty((pairs, 2))
 
-    def build(c0: int, c1: int, envelope: np.ndarray, theta: np.ndarray, part: np.ndarray) -> None:
-        # Pairs c0..c1, each element formed as in the whole-grid formula
-        # envelope = base * scale * gain * (1 + depth * sin(mod));
-        # (re, im) = rint(envelope * (cos, sin)(theta) + noise_amp * noise).
-        np.add(mod_arg[:, None], mod_phase[c0:c1], out=envelope)
-        np.sin(envelope, out=envelope)
-        np.multiply(envelope, spec.mod_depth, out=envelope)
-        np.add(envelope, 1.0, out=envelope)
-        np.multiply(amp_gain, envelope, out=envelope)
-        np.add(carrier, pair_carrier[c0:c1], out=theta)
-        np.multiply(theta, 2.0 * math.pi, out=theta)
-        np.add(theta, carrier_phase, out=theta)
+    gain = 1.0 + spec.profile_depth * np.cos(2.0 * math.pi * profile_cycles * grid.s / spec.n_s)
+    amp_gain = spec.base_amplitude * scale * gain
+    mod_arg = 2.0 * math.pi * (freq * grid.t)
+    return _Trial(amp_gain, grid.pair_phase + trial_phase, mod_arg, carrier_phase)
+
+
+def _build(
+    spec: SyntheticSpec,
+    grid: _Grid,
+    trial: _Trial,
+    out: _Buffers,
+    p0: int,
+    p1: int,
+    envelope: np.ndarray,
+    theta: np.ndarray,
+    part: np.ndarray,
+) -> None:
+    """Build pairs p0..p1 into `out`, as many at a time as the scratch
+    (a leading pair axis over (n_p, n_s)) holds.
+
+    Each element is formed as in the whole-grid formula
+    envelope = base * scale * gain * (1 + depth * sin(mod));
+    (re, im) = rint(envelope * (cos, sin)(theta) + noise_amp * noise).
+    A pair is written to `out.data` only when it fits int8; its extremes go to
+    `out.highs` and `out.lows` for `_check_peak`."""
+    size = len(part)
+    for c0 in range(p0, p1, size):
+        c1 = min(c0 + size, p1)
+        env, th, pt = envelope[: c1 - c0], theta[: c1 - c0], part[: c1 - c0]
+        np.add(trial.mod_arg[:, None], trial.mod_phase[c0:c1], out=env)
+        np.sin(env, out=env)
+        np.multiply(env, spec.mod_depth, out=env)
+        np.add(env, 1.0, out=env)
+        np.multiply(trial.amp_gain, env, out=env)
+        np.add(grid.carrier, grid.pair_carrier[c0:c1], out=th)
+        np.multiply(th, 2.0 * math.pi, out=th)
+        np.add(th, trial.carrier_phase, out=th)
+        highs, lows = out.highs[c0:c1], out.lows[c0:c1]
         for k, trig in enumerate((np.cos, np.sin)):
-            trig(theta, out=part)
-            np.multiply(envelope, part, out=part)
-            if noise is not None:
-                term = noise[k, c0:c1]
+            trig(th, out=pt)
+            np.multiply(env, pt, out=pt)
+            if out.noise is not None:
+                term = out.noise[k, c0:c1]
                 np.multiply(term, spec.noise_amp, out=term)
-                np.add(part, term, out=part)
-            np.rint(part, out=part)
-            np.max(part, axis=(1, 2), out=highs[c0:c1, k])
-            np.min(part, axis=(1, 2), out=lows[c0:c1, k])
-            if highs[c0:c1, k].max() <= 127 and lows[c0:c1, k].min() >= -127:
-                np.copyto(data[c0:c1, ..., k], part, casting="unsafe")
+                np.add(pt, term, out=pt)
+            np.rint(pt, out=pt)
+            np.max(pt, axis=(1, 2), out=highs[:, k])
+            np.min(pt, axis=(1, 2), out=lows[:, k])
+            if highs[:, k].max() <= 127 and lows[:, k].min() >= -127:
+                np.copyto(out.data[c0:c1, ..., k], pt, casting="unsafe")
 
-    grid = (spec.n_p, spec.n_s)
-    T._over_chunks(pairs, (grid, grid, grid), build)
-    peak = max(highs.max(), -lows.min())
+
+def _check_peak(out: _Buffers, where: str = "") -> None:
+    peak = max(out.highs.max(), -out.lows.min())
     if not peak <= 127:
         raise ValueError(
-            f"signature amplitude exceeds signed 8-bit range after quantization (peak {peak:.0f})"
+            f"signature amplitude exceeds signed 8-bit range after quantization (peak {peak:.0f}){where}"
         )
-    return CsiRecording(n_t=spec.n_t, n_r=spec.n_r, n_p=spec.n_p, n_s=spec.n_s, data=data)
+
+
+def synthesize_recording(spec: SyntheticSpec, class_id: int, trial_id: int) -> CsiRecording:
+    """One trial of `class_id`, deterministic in (spec, class_id, trial_id).
+
+    The noise is drawn first, then the antenna pairs are built on the kernel
+    pool, a chunk of pairs per task."""
+    grid = _grid(spec)
+    out = _buffers(spec)
+    trial = _prepare(spec, grid, class_id, trial_id, out.noise)
+    shape = (spec.n_p, spec.n_s)
+    T._over_chunks(spec.n_t * spec.n_r, (shape, shape, shape), functools.partial(_build, spec, grid, trial, out))
+    _check_peak(out)
+    return CsiRecording(n_t=spec.n_t, n_r=spec.n_r, n_p=spec.n_p, n_s=spec.n_s, data=out.data)
 
 
 def generate_synthetic(spec: SyntheticSpec, out_dir: str | os.PathLike) -> DatasetManifest:
     """Write one recording per (class, trial) plus `manifest.csv` into `out_dir`.
 
-    Same spec (including seed) always produces bitwise-identical files.
+    Same spec (including seed) always produces bitwise-identical files. The
+    recordings run on the kernel pool, a contiguous run of them per worker,
+    each built whole (its noise drawn, every pair built, the file written)
+    before the next; buffers are allocated here, once per worker. A recording
+    that overflows int8 raises ValueError naming it; for any worker count
+    that is the earliest one in (class, trial) order, raised once every
+    worker has stopped.
     """
     os.makedirs(out_dir, exist_ok=True)
-    entries = []
-    for c in range(spec.classes):
-        for trial in range(spec.samples_per_class):
-            rec = synthesize_recording(spec, c, trial)
-            name = f"class{c:02d}_trial{trial:03d}.csi"
-            path = os.path.join(out_dir, name)
-            save_recording(rec, path)
-            # 10 trials per subject pair mirrors the acquisition layout of the
-            # real dataset; harmless bookkeeping for synthetic data.
-            entries.append(
-                ManifestEntry(path=path, label=c, pair_id=trial // 10, trial_id=trial)
-            )
+    trials = [(c, trial) for c in range(spec.classes) for trial in range(spec.samples_per_class)]
+    stems = [f"class{c:02d}_trial{trial:03d}" for c, trial in trials]
+    paths = [os.path.join(out_dir, stem + ".csi") for stem in stems]
+    dims = (spec.n_t, spec.n_r, spec.n_p, spec.n_s)
+    pairs = spec.n_t * spec.n_r
+    grid = _grid(spec)
+    shape = (spec.n_p, spec.n_s)
+    size = min(T._chunk_len((shape, shape, shape)), pairs)
+    buffers = {
+        b0: (_buffers(spec), [np.empty((size,) + shape) for _ in range(3)])
+        for b0, _ in T._slices(len(trials))
+    }
+
+    def run_slice(b0: int, b1: int) -> None:
+        out, scratch = buffers[b0]
+        for i in range(b0, b1):
+            trial = _prepare(spec, grid, *trials[i], out.noise)
+            _build(spec, grid, trial, out, 0, pairs, *scratch)
+            _check_peak(out, f" in recording {stems[i]}")
+            write_container(paths[i], MAGIC, _HEADER, _FIELDS, dims, out.data)
+
+    T._fan_out(run_slice, len(trials))
+    # 10 trials per subject pair mirrors the acquisition layout of the real
+    # dataset; harmless bookkeeping for synthetic data.
+    entries = [
+        ManifestEntry(path=path, label=c, pair_id=trial // 10, trial_id=trial)
+        for path, (c, trial) in zip(paths, trials)
+    ]
     manifest = DatasetManifest(entries=entries)
     save_manifest(manifest, os.path.join(out_dir, "manifest.csv"))
     return manifest

@@ -203,8 +203,9 @@ def _fan_out(fn: Callable[[int, int], None], n: int) -> None:
     """Run `fn(b0, b1)` over contiguous slices that cover `range(n)`.
 
     The kernels call it through `_over_chunks`, and so does
-    `csi_data.synthesize_recording` over antenna pairs; `augment._mix` calls
-    it directly over the antenna pairs of a raw mix.
+    `csi_data.synthesize_recording` over the antenna pairs of one recording.
+    `csi_data.generate_synthetic` calls it directly over the recordings of a
+    dataset, and `augment._mix` over the antenna pairs of a raw mix.
 
     With one worker or one sample this is the plain call `fn(0, n)`.
     Otherwise each slice runs on the kernel pool, the caller waits for all of
@@ -225,6 +226,13 @@ def _fan_out(fn: Callable[[int, int], None], n: int) -> None:
         future.result()
 
 
+def _chunk_len(sample_shapes: Sequence[tuple[int, ...]]) -> int:
+    """Samples per chunk: as many as fit `_CHUNK_BYTES` of one float64
+    buffer per entry of `sample_shapes` together, and at least one."""
+    sample_bytes = 8 * sum(math.prod(shape) for shape in sample_shapes)
+    return max(1, _CHUNK_BYTES // max(sample_bytes, 1))
+
+
 def _over_chunks(n: int, sample_shapes: Sequence[tuple[int, ...]], fn: Callable[..., None]) -> None:
     """Run `fn(c0, c1, *buffers)` over consecutive chunks `(c0, c1)` of samples
     that cover `range(n)`, each `_fan_out` slice on its own worker.
@@ -237,8 +245,7 @@ def _over_chunks(n: int, sample_shapes: Sequence[tuple[int, ...]], fn: Callable[
     a slice reuses its buffers for every chunk, so what `fn` leaves in them
     carries over to the next chunk of the slice.
     """
-    sample_bytes = 8 * sum(math.prod(shape) for shape in sample_shapes)
-    size = max(1, _CHUNK_BYTES // max(sample_bytes, 1))
+    size = _chunk_len(sample_shapes)
     buffers = {
         b0: [np.zeros((min(size, b1 - b0),) + shape) for shape in sample_shapes]
         for b0, b1 in _slices(n)

@@ -293,7 +293,9 @@ def train(
     measured on the training-mode forward passes (dropout active). A
     non-finite model output (hence loss) or parameter gradient raises
     ValueError naming the epoch and batch, both counted from 0, before the
-    optimizer step.
+    optimizer step. Samples of another shape than the first training sample,
+    in either split, or a feature width other than `model_cfg.in_features`
+    raise ValueError before the first forward.
 
     Memory: no split is copied. Each training batch is stacked from the
     sample list in the epoch's shuffled order, and each validation batch in
@@ -304,6 +306,13 @@ def train(
     if len(np.unique(labels)) < 2:
         raise ValueError("training requires at least 2 classes")
     val_labels = _labels(val_dataset) if val_dataset else None
+    shape = dataset[0].data.shape
+    if val_labels is not None and val_dataset[0].data.shape != shape:
+        raise ValueError(
+            f"validation sample shape {val_dataset[0].data.shape} != training sample shape {shape}"
+        )
+    if shape[-1] != model_cfg.in_features:
+        raise ValueError(f"input feature width {shape[-1]} != configured {model_cfg.in_features}")
 
     params = init_model(model_cfg, named_rng(train_cfg.seed, "init"))
     named = params.named()

@@ -2,8 +2,13 @@
 `data_reference.py`, its independence from the kernel worker count, and
 the thread its traced functions run on."""
 
+import os
+import re
+import struct
 import sys
 import threading
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -137,6 +142,102 @@ class TestWorkerCountIndependence:
         assert results[0] == results[1] == results[2]
 
 
+def expected_file(spec: SyntheticSpec, class_id: int, trial: int) -> bytes:
+    """The container bytes of the whole-grid oracle's recording."""
+    rec = reference.synthesize_recording(spec, class_id, trial)
+    header = struct.pack("<4H", spec.n_t, spec.n_r, spec.n_p, spec.n_s)
+    return csi_data.MAGIC + header + rec.data.tobytes()
+
+
+class TestGenerateSynthetic:
+    """`generate_synthetic` runs its recordings on the kernel pool, a
+    contiguous run of them per worker."""
+
+    @pytest.mark.parametrize("name", ["default", "one_pair", "three_by_three", "no_noise", "jitter"])
+    def test_files_are_the_reference_for_1_2_3_workers(self, tmp_path, monkeypatch, name):
+        # 10 recordings: 3 workers take 3, 3 and 4
+        spec = SyntheticSpec(classes=5, samples_per_class=2, n_p=64, seed=4, **SPECS[name])
+        listings = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # let the workers interleave often
+        try:
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(T, "_WORKERS", workers)
+                out = tmp_path / f"w{workers}"
+                manifest = csi_data.generate_synthetic(spec, out)
+                assert [(e.label, e.trial_id) for e in manifest] == [(c, t) for c in range(5) for t in range(2)]
+                listings.append({p.name: p.read_bytes() for p in out.iterdir()})
+        finally:
+            sys.setswitchinterval(interval)
+        assert listings[0] == listings[1] == listings[2]
+        files = listings[0]
+        assert len(files) == 11 and "manifest.csv" in files
+        for c in range(5):
+            for t in range(2):
+                assert files[f"class{c:02d}_trial{t:03d}.csi"] == expected_file(spec, c, t)
+
+    def test_peak_memory_does_not_grow_with_the_recording_count(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(T, "_WORKERS", 2)
+        peaks = {}
+        for trials in (2, 8, 2):  # 6 and 24 recordings; the first run warms up
+            spec = SyntheticSpec(classes=3, samples_per_class=trials, n_p=256)
+            tracemalloc.start()
+            try:
+                csi_data.generate_synthetic(spec, tmp_path / f"n{trials}")
+                peaks[trials] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # Buffers kept per recording would add 18 of these; ufunc cast
+        # buffers of workers that happen to overlap move the peak by ~128 kB.
+        one_noise = 2 * 6 * 256 * 30 * 8  # the two noise grids of one recording
+        assert peaks[8] < peaks[2] + one_noise / 2, peaks
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_overflow_names_the_earliest_recording_after_every_worker_stops(
+        self, tmp_path, monkeypatch, capsys, workers
+    ):
+        # Recordings 4 (class 1, trial 0), 8 and 9 overflow; with 2 workers
+        # the second one fails at its third recording while the first is
+        # still writing, and with 3 the last two fail at their first.
+        settings = dict(classes=3, samples_per_class=4, n_p=64, n_s=8, base_amplitude=66.0, scale_jitter=0.1)
+        spec = SyntheticSpec(seed=5, **settings)
+        failures = {}
+        for i, (c, t) in enumerate((c, t) for c in range(3) for t in range(4)):
+            try:
+                reference.synthesize_recording(spec, c, t)
+            except ValueError as exc:
+                failures[i] = str(exc)
+        assert sorted(failures) == [4, 8, 9]
+        monkeypatch.setattr(T, "_WORKERS", workers)
+        written = []
+        write = csi_data.write_container
+
+        def slow_write(path, *args):
+            time.sleep(0.02)
+            write(path, *args)
+            written.append(os.path.basename(path))
+
+        monkeypatch.setattr(csi_data, "write_container", slow_write)
+        message = f"{failures[4]} in recording class01_trial000"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            csi_data.generate_synthetic(spec, tmp_path / "raw")
+        done = list(written)
+        time.sleep(0.2)
+        assert written == done and sorted(done) == sorted(p.name for p in (tmp_path / "raw").iterdir())
+        expected = []
+        for b0, b1 in T._slices(12):
+            stop = min([i for i in (4, 8, 9) if b0 <= i < b1], default=b1)
+            expected += [f"class{i // 4:02d}_trial{i % 4:03d}.csi" for i in range(b0, stop)]
+        assert sorted(done) == expected
+
+        config = [f"synth.{k}={v}" for k, v in settings.items()]
+        argv = ["synth", "--seed", "5", *(a for kv in config for a in ("--set", kv)), "--out", str(tmp_path / "cli")]
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["raw"]
+
+
 def test_traced_functions_run_on_the_main_thread(tmp_path, monkeypatch, capsys):
     """A span tracer keeps one stack, so the public functions it wraps must
     be called from the main thread only, with the pool busy around them."""
@@ -153,7 +254,9 @@ def test_traced_functions_run_on_the_main_thread(tmp_path, monkeypatch, capsys):
     modules = [m for n, m in sys.modules.items() if n.startswith("csi_tcn.") and m is not None]
     for mod, name in [
         (csi_data, "amplitude"),
+        (csi_data, "generate_synthetic"),
         (csi_data, "synthesize_recording"),
+        (csi_data, "save_recording"),
         (dsp, "minmax_normalize"),
         (dsp, "apply_filter"),
         (dsp, "dwt_approx"),
@@ -176,6 +279,10 @@ def test_traced_functions_run_on_the_main_thread(tmp_path, monkeypatch, capsys):
     assert main(["augment", "raw/manifest.csv", "--stage", "pre", *config, "--out", "pre"]) == 0
     dsp._lowpass.cache_clear()
     capsys.readouterr()
-    assert len(calls["csi_tcn.csi_data.synthesize_recording"]) == 9
+    # synth builds its recordings in private helpers on the pool, so of the
+    # synthesis functions only `generate_synthetic` is called, once.
+    assert len(calls["csi_tcn.csi_data.generate_synthetic"]) == 1
+    assert "csi_tcn.csi_data.synthesize_recording" not in calls
+    assert len(calls["csi_tcn.csi_data.save_recording"]) == len(list((tmp_path / "pre").glob("*.csi"))) == 36
     assert len(calls["csi_tcn.dsp.design_butterworth_lowpass"]) == 1
     assert all(all(flags) for flags in calls.values()), {k: v.count(False) for k, v in calls.items()}

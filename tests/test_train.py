@@ -344,6 +344,29 @@ class TestTraining:
             else:
                 train(train_set, tiny_model(), TrainConfig(batch_size=4, epochs=1), val_set)
 
+    @pytest.mark.parametrize("where", ["validation_width", "validation_steps", "both_width"])
+    def test_split_mismatch_rejected_before_any_forward(self, monkeypatch, where):
+        message = {
+            "validation_width": "validation sample shape (2, 16, 13) != training sample shape (2, 16, 12)",
+            "validation_steps": "validation sample shape (2, 15, 12) != training sample shape (2, 16, 12)",
+            "both_width": "input feature width 13 != configured 12",
+        }[where]
+        forwards = []
+        forward = train_mod.model_forward
+        monkeypatch.setattr(train_mod, "model_forward", lambda *a, **k: forwards.append(1) or forward(*a, **k))
+        rng = np.random.default_rng(0)
+
+        def samples(n, steps, width):
+            return [PreprocessedSample(rng.standard_normal((2, steps, width)), label=i % 3) for i in range(n)]
+
+        train_set = samples(24, 16, 13 if where == "both_width" else 12)
+        val_set = samples(6, 15 if where == "validation_steps" else 16, 12 if where == "validation_steps" else 13)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            train(train_set, tiny_model(), TrainConfig(batch_size=2, epochs=1), val_set)
+        assert forwards == []
+        train(train_set[:6], tiny_model(in_features=train_set[0].data.shape[-1]), TrainConfig(batch_size=2, epochs=1))
+        assert len(forwards) == 3
+
     def test_single_class_rejected(self):
         dataset = build_dataset(classes=2, samples_per_class=3, n_p=64, seed=0)
         only_zero = [s for s in dataset if s.label == 0]
