@@ -68,6 +68,11 @@ class AugmentConfig:
         if self.copies_per_method < 1:
             raise ValueError("copies_per_method must be >= 1")
         self.methods = tuple(AugmentMethod(m) for m in self.methods)
+        if not self.methods:
+            raise ValueError("methods must name at least one method")
+        for i, method in enumerate(self.methods):
+            if method in self.methods[:i]:
+                raise ValueError(f"methods names {method.value} twice; use copies_per_method for more copies")
 
 
 # The operators take float or int8 grids. Float grids and mixing compute in

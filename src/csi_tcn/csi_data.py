@@ -346,6 +346,11 @@ class SyntheticSpec:
         for name in ("mod_depth", "profile_depth", "base_amplitude", "noise_amp", "scale_jitter", "phase_jitter"):
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if not 0.0 <= self.freq_min <= self.freq_max < 0.5:
+            raise ValueError(
+                "need 0 <= freq_min <= freq_max < 0.5 cycles per packet (Nyquist 0.5), "
+                f"got freq_min {self.freq_min}, freq_max {self.freq_max}"
+            )
 
 
 class _Grid(NamedTuple):

@@ -248,26 +248,24 @@ def init_model(cfg: ModelConfig, rng: np.random.Generator) -> ModelParams:
 def attention_forward(h: Tensor, params: AttentionParams, rows: Optional[int] = None) -> Tensor:
     """Masked scaled dot-product attention gating the input elementwise.
 
-    h: (..., T, F). Keys and values are linear maps of every step of h;
-    queries are linear maps of its last `rows` steps (all T by default). The
-    fused `tensor.causal_attention` primitive scales the scores by
-    1/sqrt(d_k), sets every future position to -inf so it gets zero weight,
-    and returns the softmax-weighted value rows, building the rows x T
-    weights a chunk of samples at a time and keeping none of them for
-    backward. The attended rows then gate the same last rows of h entrywise,
-    so the output is (..., rows, F).
+    h: (N, T, F), a batch of sequences. Keys and values are linear maps of
+    every step of h; queries are linear maps of its last `rows` steps (all T
+    by default). The fused `tensor.causal_attention` primitive scales the
+    scores by 1/sqrt(d_k), sets every future position to -inf so it gets zero
+    weight, and returns the softmax-weighted value rows, building the
+    rows x T weights a chunk of samples at a time and keeping none of them
+    for backward. The value map is square (`AttentionParams`), so the
+    attended rows are (N, rows, F) and gate the same last rows of h
+    entrywise; the output is (N, rows, F).
     """
     t_len = h.shape[-2]
     if rows is None:
         rows = t_len
-    h_q = h if rows == t_len else T.index(h, (Ellipsis, slice(t_len - rows, None), slice(None)))
+    h_q = h if rows == t_len else T.index(h, (slice(None), slice(t_len - rows, None), slice(None)))
     q = T.linear(h_q, params.w_q)
     k = T.linear(h, params.w_k)
     v = T.linear(h, params.w_v)
-    attended = T.causal_attention(q, k, v, 1.0 / math.sqrt(params.d_k))
-    if attended.shape != h_q.shape:
-        raise ValueError(f"attended shape {attended.shape} does not match input {h_q.shape}")
-    return T.mul(h_q, attended)
+    return T.mul(h_q, T.causal_attention(q, k, v, 1.0 / math.sqrt(params.d_k)))
 
 
 def tcn_block_forward(
@@ -285,6 +283,9 @@ def tcn_block_forward(
     is residual, as in Bai et al.'s TCN; channel-changing params without a
     projection are refused.
 
+    x: (N, C_in, T), a batch of channel-major sequences; the output is
+    (N, C_out, T), or (N, C_out, steps).
+
     With `steps` the block computes only the last `steps` output steps.
     `t_full` is the length of the full pass this block is part of, so that
     dropout draws its mask at that length (see `tensor.dropout_layer`).
@@ -297,7 +298,7 @@ def tcn_block_forward(
     y = T.dropout_layer(y, dropout, training, rng, t_full)
     c_out, c_in = params.w.shape[0], params.w.shape[1]
     if steps < t_len:
-        x = T.index(x, (Ellipsis, slice(t_len - steps, None)))
+        x = T.index(x, (slice(None), slice(None), slice(t_len - steps, None)))
     if params.proj is not None:
         return T.add(y, T.matmul(params.proj, x))
     if c_in != c_out:
@@ -420,10 +421,10 @@ def probe_receptive_field(cfg: ModelConfig, t_len: Optional[int] = None, seed: i
             p.data = np.abs(p.data) + 0.01
 
     def stack_last_column(arr: np.ndarray) -> np.ndarray:
-        z = Tensor(arr)
+        z = Tensor(arr[None])  # a batch of one
         for block, dilation in zip(params.blocks, _dilations(stack_cfg)):
             z = tcn_block_forward(z, block, dilation)
-        return z.data[:, -1].copy()
+        return z.data[0, :, -1].copy()
 
     base = rng.uniform(0.5, 1.0, size=(stack_cfg.in_features, t_len))
     reference = stack_last_column(base)

@@ -13,9 +13,11 @@ handed on, so forward data and gradients go as soon as nothing else holds
 the node. Leaves, and any intermediate tensor the caller still holds, keep
 their `.grad`; a second backward through a consumed graph raises ValueError.
 
-Conventions: time is the trailing axis for convolution inputs (C, T) and the
-second-to-last for attention inputs (T, F); matmul requires >= 2-D operands
-and broadcasts leading batch axes.
+Conventions: the two kernels take batched operands only, the batch on axis
+0. Convolution inputs are (N, C, T), with time trailing, and attention
+operands are (N, T, F), all three with the same N; a 2-D operand, mismatched
+batch sizes or a missing conv bias are refused by name. matmul requires
+>= 2-D operands and broadcasts leading batch axes.
 
 Threading: `causal_conv1d` and `causal_attention` hand each forward and
 backward pass to `_over_chunks` as a body that works on one chunk of samples.
@@ -259,17 +261,6 @@ def _over_chunks(n: int, sample_shapes: Sequence[tuple[int, ...]], fn: Callable[
     _fan_out(run_slice, n)
 
 
-def _batched(a: np.ndarray, lead: tuple[int, ...]) -> np.ndarray:
-    """View of `a` (..., R, C) broadcast to `lead + (R, C)`, with a leading
-    axis of 1 when `lead` is empty, so the batch axis is always axis 0."""
-    a = np.broadcast_to(a, lead + a.shape[-2:])
-    return a if lead else a[None]
-
-
-def _unbatched(a: np.ndarray, lead: tuple[int, ...]) -> np.ndarray:
-    return a if lead else a[0]
-
-
 # ---------------------------------------------------------------------------
 # Elementwise and structural primitives
 
@@ -405,34 +396,32 @@ def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
     return _make(data, parents, backward_fn, "linear")
 
 
-def causal_conv1d(
-    x: Tensor, w: Tensor, bias: Optional[Tensor] = None, dilation: int = 1, steps: Optional[int] = None
-) -> Tensor:
+def causal_conv1d(x: Tensor, w: Tensor, bias: Tensor, dilation: int = 1, steps: Optional[int] = None) -> Tensor:
     """Dilated causal convolution along the trailing time axis.
 
-    x: (C_in, T) or (N, C_in, T); w: (C_out, C_in, k); bias: (C_out,).
-    The input is left-padded with (k-1)*dilation zeros and
-    y[..., t] = bias + sum_{c,kk} w[:, c, kk] * x_pad[c, t + kk*d],
+    x: (N, C_in, T); w: (C_out, C_in, k); bias: (C_out,). The input is
+    left-padded with (k-1)*dilation zeros and
+    y[n, :, t] = bias + sum_{c,kk} w[:, c, kk] * x_pad[n, c, t + kk*d],
     i.e. tap kk = k-1 reads the current sample and earlier taps reach back in
-    strides of `dilation`. The output keeps length T, or with `steps` holds
+    strides of `dilation`. The output is (N, C_out, T), or with `steps` holds
     only the last `steps` of those T outputs: they read only the last
     steps + (k-1)*d inputs, and the zero pad only where that reaches back
-    past the first input.
+    past the first input. Backward always forms the weight and bias
+    gradients, and the input gradient when x requires it.
     """
     if dilation < 1:
         raise ValueError(f"dilation must be >= 1, got {dilation}")
     if w.ndim != 3:
         raise ValueError(f"kernel must be 3-D (C_out, C_in, k), got {w.shape}")
-    squeeze = x.ndim == 2
-    if x.ndim not in (2, 3):
-        raise ValueError(f"input must be (C_in, T) or (N, C_in, T), got {x.shape}")
-    xd = x.data[None] if squeeze else x.data
+    if x.ndim != 3:
+        raise ValueError(f"input must be (N, C_in, T), got {x.shape}")
+    xd = x.data
     n, c_in, t_len = xd.shape
     c_out, c_in_w, k = w.shape
     if c_in_w != c_in:
         raise ValueError(f"kernel expects {c_in_w} input channels, input has {c_in}")
-    if bias is not None and bias.shape != (c_out,):
-        raise ValueError(f"bias shape {bias.shape} != ({c_out},)")
+    if bias is None or bias.shape != (c_out,):
+        raise ValueError(f"bias must have shape ({c_out},), got {None if bias is None else bias.shape}")
     if steps is None:
         steps = t_len
     if not 0 <= steps <= t_len:
@@ -454,13 +443,11 @@ def causal_conv1d(
         for kk in range(k):
             np.matmul(w.data[:, :, kk], xp[:, :, windows[kk]], out=tap)
             out += tap
-        if bias is not None:
-            out += bias.data[:, None]
+        out += bias.data[:, None]
 
     _over_chunks(n, [(c_in, t_len + pad), (c_out, steps)], forward_chunk)
 
     def backward_fn(g):
-        g3 = g[None] if squeeze else g
         if x.requires_grad:
             gx = np.zeros((n, c_in, t_len))
 
@@ -471,34 +458,31 @@ def causal_conv1d(
                     at = windows[kk].start - pad
                     lag = max(0, -at)
                     if lag < steps:
-                        np.matmul(w.data[:, :, kk].T, g3[c0:c1], out=tap)
+                        np.matmul(w.data[:, :, kk].T, g[c0:c1], out=tap)
                         gx[c0:c1, :, at + lag : at + steps] += tap[:, :, lag:]
 
             _over_chunks(n, [(c_in, steps)], backward_chunk)
-            _accumulate(x, gx[0] if squeeze else gx)
-        if w.requires_grad:
-            # One tap at a time: every sample's product of the tap, then
-            # their sum in sample order, so the order never depends on the
-            # worker count and only one tap's products are alive at once.
-            xp = xd
-            if pad:
-                xp = np.zeros((n, c_in, t_len + pad))
-                xp[:, :, pad:] = xd
-            products = np.empty((n, c_out, c_in))
-            gw = np.empty_like(w.data)
-            for kk in range(k):
+            _accumulate(x, gx)
+        # One tap at a time: every sample's product of the tap, then their
+        # sum in sample order, so the order never depends on the worker count
+        # and only one tap's products are alive at once.
+        xp = xd
+        if pad:
+            xp = np.zeros((n, c_in, t_len + pad))
+            xp[:, :, pad:] = xd
+        products = np.empty((n, c_out, c_in))
+        gw = np.empty_like(w.data)
+        for kk in range(k):
 
-                def tap_products(b0: int, b1: int) -> None:
-                    np.matmul(g3[b0:b1], xp[b0:b1, :, windows[kk]].swapaxes(1, 2), out=products[b0:b1])
+            def tap_products(b0: int, b1: int) -> None:
+                np.matmul(g[b0:b1], xp[b0:b1, :, windows[kk]].swapaxes(1, 2), out=products[b0:b1])
 
-                _fan_out(tap_products, n)
-                gw[:, :, kk] = products.sum(axis=0)
-            _accumulate(w, gw)
-        if bias is not None and bias.requires_grad:
-            _accumulate(bias, g3.sum(axis=(0, 2)))
+            _fan_out(tap_products, n)
+            gw[:, :, kk] = products.sum(axis=0)
+        _accumulate(w, gw)
+        _accumulate(bias, g.sum(axis=(0, 2)))
 
-    parents = (x, w) if bias is None else (x, w, bias)
-    return _make(data[0] if squeeze else data, parents, backward_fn, "causal_conv1d")
+    return _make(data, (x, w, bias), backward_fn, "causal_conv1d")
 
 
 # ---------------------------------------------------------------------------
@@ -531,34 +515,35 @@ def softmax_rows(a: Tensor) -> Tensor:
 def causal_attention(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
     """softmax(mask(q k^T * scale)) v, with the W x T weights built per chunk.
 
-    k: (..., T, d_k); v: (..., T, F); q: (..., W, d_k) with W <= T rows,
+    q: (N, W, d_k), k: (N, T, d_k) and v: (N, T, F), with W <= T query rows
     aligned to the end of k and v: query row i stands at step T-W+i and
     attends keys 0..T-W+i. W = T is the square causal block. Entries right of
     that shifted diagonal are set to -inf before the row softmax, so they get
-    zero weight. The output is (..., W, F).
+    zero weight. The output is (N, W, F).
 
     Nothing but the operands is kept for the backward pass. It recomputes
     each chunk's weights P with the same operations as the forward pass, then
     applies the analytic gradient: gP = g v^T, gv = P^T g,
     gS = P (gP - rowsum(gP P)), masked entries of gS zeroed, times scale,
-    then gq = gS k and gk = (q^T gS)^T. The float operations and their order
-    match the composed chain matmul -> scale -> mask -> softmax_rows ->
-    matmul, so results are bit-identical to it.
+    then gq = gS k and gk = (q^T gS)^T. It forms all three gradients. The
+    float operations and their order match the composed chain
+    matmul -> scale -> mask -> softmax_rows -> matmul, so results are
+    bit-identical to it.
     """
-    if q.ndim < 2 or k.ndim < 2 or v.ndim < 2:
-        raise ValueError("attention operands must be at least 2-D")
-    rows, t_len = q.shape[-2], k.shape[-2]
-    if v.shape[-2] != t_len:
+    if q.ndim != 3 or k.ndim != 3 or v.ndim != 3 or not q.shape[0] == k.shape[0] == v.shape[0]:
+        raise ValueError(
+            f"attention operands must be (N, steps, width) with one N; got q {q.shape}, k {k.shape}, v {v.shape}"
+        )
+    n, rows, t_len = q.shape[0], q.shape[1], k.shape[1]
+    if v.shape[1] != t_len:
         raise ValueError(f"k and v must share their steps; got k {k.shape}, v {v.shape}")
     if rows > t_len:
         raise ValueError(f"q has {rows} rows, more than the {t_len} key steps; got q {q.shape}, k {k.shape}")
     scale = np.float64(scale)
     above = np.triu(np.ones((rows, t_len), dtype=bool), k=t_len - rows + 1)
-    lead = np.broadcast_shapes(q.shape[:-2], k.shape[:-2], v.shape[:-2])
-    qd, kd, vd = (_batched(a.data, lead) for a in (q, k, v))
-    n = qd.shape[0]
-    block = qd.shape[1:-1] + (t_len,)  # one sample's W x T weights
-    data = np.empty(qd.shape[:-1] + vd.shape[-1:])
+    qd, kd, vd = q.data, k.data, v.data
+    block = (rows, t_len)  # one sample's W x T weights
+    data = np.empty((n, rows, vd.shape[-1]))
 
     def weights(c0: int, c1: int, p: np.ndarray) -> None:
         """Write the weights of samples c0:c1 into `p`."""
@@ -574,39 +559,28 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
     _over_chunks(n, [block], forward_chunk)
 
     def backward_fn(g):
-        g3 = _batched(g, lead)
-        need_v, need_q, need_k = v.requires_grad, q.requires_grad, k.requires_grad
-        need_s = need_q or need_k
-        gv = np.empty(vd.shape) if need_v else None
-        gq = np.empty(qd.shape) if need_q else None
-        gk = np.empty(kd.shape[:-2] + (kd.shape[-1], t_len)) if need_k else None
+        gv = np.empty(vd.shape)
+        gq = np.empty(qd.shape)
+        gk = np.empty((n, kd.shape[-1], t_len))
 
         def backward_chunk(c0: int, c1: int, p: np.ndarray, s: np.ndarray, s_p: np.ndarray) -> None:
             weights(c0, c1, p)
-            if need_v:
-                np.matmul(np.swapaxes(p, -1, -2), g3[c0:c1], out=gv[c0:c1])
-            if not need_s:
-                return
-            np.matmul(g3[c0:c1], np.swapaxes(vd[c0:c1], -1, -2), out=s)
+            np.matmul(np.swapaxes(p, -1, -2), g[c0:c1], out=gv[c0:c1])
+            np.matmul(g[c0:c1], np.swapaxes(vd[c0:c1], -1, -2), out=s)
             np.multiply(s, p, out=s_p)
             s -= s_p.sum(axis=-1, keepdims=True)
             s *= p
             np.copyto(s, 0.0, where=above)
             s *= scale
-            if need_q:
-                np.matmul(s, kd[c0:c1], out=gq[c0:c1])
-            if need_k:
-                np.matmul(np.swapaxes(qd[c0:c1], -1, -2), s, out=gk[c0:c1])
+            np.matmul(s, kd[c0:c1], out=gq[c0:c1])
+            np.matmul(np.swapaxes(qd[c0:c1], -1, -2), s, out=gk[c0:c1])
 
         _over_chunks(n, [block, block, block], backward_chunk)
-        if need_v:
-            _accumulate(v, _unbroadcast(_unbatched(gv, lead), v.shape))
-        if need_q:
-            _accumulate(q, _unbroadcast(_unbatched(gq, lead), q.shape))
-        if need_k:
-            _accumulate(k, _unbroadcast(np.swapaxes(_unbatched(gk, lead), -1, -2), k.shape))
+        _accumulate(v, gv)
+        _accumulate(q, gq)
+        _accumulate(k, np.swapaxes(gk, -1, -2))
 
-    return _make(_unbatched(data, lead), (q, k, v), backward_fn, "causal_attention")
+    return _make(data, (q, k, v), backward_fn, "causal_attention")
 
 
 # ---------------------------------------------------------------------------
@@ -634,7 +608,7 @@ def dropout_layer(
         return x
     if rng is None:
         raise ValueError("training-mode dropout needs an rng")
-    steps = x.shape[-1] if x.ndim else 1
+    steps = x.shape[-1]
     if t_full is None:
         t_full = steps
     if t_full < steps:

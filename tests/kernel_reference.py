@@ -12,7 +12,18 @@ from typing import Optional
 
 import numpy as np
 
-from csi_tcn.tensor import Tensor, _accumulate, _batched, _fan_out, _make, _unbatched, _unbroadcast
+from csi_tcn.tensor import Tensor, _accumulate, _fan_out, _make, _unbroadcast
+
+
+def _batched(a: np.ndarray, lead: tuple[int, ...]) -> np.ndarray:
+    """View of `a` (..., R, C) broadcast to `lead + (R, C)`, with a leading
+    axis of 1 when `lead` is empty, so the batch axis is always axis 0."""
+    a = np.broadcast_to(a, lead + a.shape[-2:])
+    return a if lead else a[None]
+
+
+def _unbatched(a: np.ndarray, lead: tuple[int, ...]) -> np.ndarray:
+    return a if lead else a[0]
 
 
 def causal_conv1d(

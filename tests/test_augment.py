@@ -183,11 +183,6 @@ class TestExpandDataset:
         for c in range(2):
             assert sum(1 for s in out if s.label == c) == 800
 
-    def test_no_methods_is_identity(self):
-        dataset = tiny_dataset(per_class=3)
-        out = expand_dataset(dataset, AugmentConfig(methods=(), seed=0))
-        assert out == dataset
-
     def test_two_methods_triple(self):
         dataset = tiny_dataset(per_class=400, classes=2, width=2)
         cfg = AugmentConfig(
@@ -457,3 +452,7 @@ def test_config_validation():
         AugmentConfig(mix_epsilon_max=0.7)
     cfg = AugmentConfig(methods=("dropout", "mix_same"))
     assert cfg.methods == (AugmentMethod.DROPOUT, AugmentMethod.MIX_SAME)
+    with pytest.raises(ValueError, match="methods must name at least one method"):
+        AugmentConfig(methods=())
+    with pytest.raises(ValueError, match="methods names mix_same twice"):
+        AugmentConfig(methods=("mix_same", "dropout", AugmentMethod.MIX_SAME))

@@ -390,6 +390,44 @@ def test_synth_rejects_negative_noise_before_writing(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "override, got",
+    [
+        ("synth.freq_min=0.5", "freq_min 0.5, freq_max 0.04"),
+        ("synth.freq_min=-0.1", "freq_min -0.1, freq_max 0.04"),
+        ("synth.freq_max=0.7", "freq_min 0.008, freq_max 0.7"),
+    ],
+    ids=["min_above_max", "min_negative", "max_above_nyquist"],
+)
+def test_synth_rejects_class_frequencies_it_cannot_represent(tmp_path, capsys, override, got):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(CONFIG))
+    out = tmp_path / "raw"
+    assert main(["synth", "--config", str(cfg), "--set", override, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: invalid config section 'synth': "
+        f"need 0 <= freq_min <= freq_max < 0.5 cycles per packet (Nyquist 0.5), got {got}\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "methods, message",
+    [
+        ("[]", "methods must name at least one method"),
+        ('["dropout","dropout"]', "methods names dropout twice; use copies_per_method for more copies"),
+    ],
+    ids=["empty", "repeated"],
+)
+def test_augment_rejects_empty_or_repeated_methods(workspace, tmp_path, capsys, methods, message):
+    root, cfg = workspace
+    out = tmp_path / "aug"
+    argv = ["augment", str(root / "raw" / "manifest.csv"), "--stage", "pre", "--config", str(cfg)]
+    assert main([*argv, "--set", f"augment.methods={methods}", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: invalid config section 'augment': {message}\n"
+    assert not out.exists()
+
+
 def test_failed_augment_writes_no_output_directory(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps(CONFIG))
@@ -766,8 +804,22 @@ def test_ablate_table(workspace, tmp_path):
         ("augment", "none,dropout+mix", "augment sweep value 'dropout+mix': 'mix' is not a valid AugmentMethod"),
         ("kernel", "2,3,02", "kernel sweep values '2' and '02' are the same point"),
         ("augment", "dropout,none,dropout", "augment sweep values 'dropout' and 'dropout' are the same point"),
+        (
+            "augment",
+            "none,dropout+dropout",
+            "augment sweep value 'dropout+dropout': methods names dropout twice; use copies_per_method for more copies",
+        ),
     ],
-    ids=["kernel_not_int", "kernel_zero", "dropout_range", "attention", "augment", "kernel_repeat", "augment_repeat"],
+    ids=[
+        "kernel_not_int",
+        "kernel_zero",
+        "dropout_range",
+        "attention",
+        "augment",
+        "kernel_repeat",
+        "augment_repeat",
+        "augment_method_repeat",
+    ],
 )
 def test_bad_sweep_value_fails_before_any_training(workspace, tmp_path, monkeypatch, capsys, sweep, values, message):
     root, cfg = workspace

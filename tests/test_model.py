@@ -63,9 +63,9 @@ class TestAttention:
         rng = np.random.default_rng(0)
         p = attention_params(rng, width=4, d_k=3)
         h = rng.standard_normal((1, 4))
-        out = attention_forward(Tensor(h), p)
+        out = attention_forward(Tensor(h[None]), p)
         expected = h * (h @ p.w_v.data.T)
-        assert np.allclose(out.data, expected, atol=1e-12)
+        assert np.allclose(out.data[0], expected, atol=1e-12)
 
     def test_zero_query_key_gives_running_mean(self):
         # all scores collapse to 0; the causal mask then makes row t a uniform
@@ -73,30 +73,30 @@ class TestAttention:
         rng = np.random.default_rng(1)
         p = attention_params(rng, width=5, d_k=4, zero_qk=True)
         h = rng.standard_normal((7, 5))
-        out = attention_forward(Tensor(h), p)
+        out = attention_forward(Tensor(h[None]), p)
         v = h @ p.w_v.data.T
         expected = h * np.stack([v[: t + 1].mean(axis=0) for t in range(7)])
-        assert np.allclose(out.data, expected, atol=1e-12)
+        assert np.allclose(out.data[0], expected, atol=1e-12)
 
     def test_forward_causality_is_bitwise(self):
         rng = np.random.default_rng(2)
         p = attention_params(rng, width=4, d_k=4)
-        h = rng.standard_normal((6, 4))
+        h = rng.standard_normal((1, 6, 4))
         base = attention_forward(Tensor(h), p).data
         poked = h.copy()
-        poked[4:, :] += 1.5
+        poked[:, 4:, :] += 1.5
         out = attention_forward(Tensor(poked), p).data
-        assert np.array_equal(out[:4], base[:4])
+        assert np.array_equal(out[:, :4], base[:, :4])
 
     def test_gradient_causality(self):
         rng = np.random.default_rng(3)
         p = attention_params(rng, width=4, d_k=4)
-        h = Tensor(rng.standard_normal((5, 4)), requires_grad=True)
+        h = Tensor(rng.standard_normal((1, 5, 4)), requires_grad=True)
         out = attention_forward(h, p)
         t_probe = 2
-        T.sum_over(T.index(out, t_probe)).backward()
-        assert np.array_equal(h.grad[t_probe + 1 :], np.zeros((2, 4)))
-        assert np.any(h.grad[: t_probe + 1] != 0.0)
+        T.sum_over(T.index(out, (0, t_probe))).backward()
+        assert np.array_equal(h.grad[0, t_probe + 1 :], np.zeros((2, 4)))
+        assert np.any(h.grad[0, : t_probe + 1] != 0.0)
 
     def test_batched_matches_loop(self):
         rng = np.random.default_rng(5)
@@ -104,7 +104,7 @@ class TestAttention:
         h = rng.standard_normal((4, 6, 3))
         batched = attention_forward(Tensor(h), p).data
         for n in range(4):
-            single = attention_forward(Tensor(h[n]), p).data
+            single = attention_forward(Tensor(h[n : n + 1]), p).data[0]
             assert np.allclose(batched[n], single, atol=1e-12)
 
     def test_value_shape_must_match_input(self):
@@ -248,19 +248,19 @@ class TestTcnBlock:
         )
 
     def test_zero_weights_identity_residual(self):
-        x = Tensor(np.random.default_rng(2).standard_normal((3, 10)))
+        x = Tensor(np.random.default_rng(2).standard_normal((1, 3, 10)))
         y = tcn_block_forward(x, self._block(3, 3, 5, zero=True), 1)
         assert np.array_equal(y.data, x.data)
 
     @pytest.mark.parametrize("dilation", [1, 2, 4])
     def test_length_preserved_k15(self, dilation):
         rng = np.random.default_rng(dilation)
-        x = Tensor(rng.standard_normal((4, 37)))
+        x = Tensor(rng.standard_normal((1, 4, 37)))
         y = tcn_block_forward(x, self._block(6, 4, 15, proj=True, rng=rng), dilation)
-        assert y.data.shape == (6, 37)
+        assert y.data.shape == (1, 6, 37)
 
     def test_channel_change_needs_projection(self):
-        x = Tensor(np.ones((3, 8)))
+        x = Tensor(np.ones((1, 3, 8)))
         with pytest.raises(ValueError, match="projection"):
             tcn_block_forward(x, self._block(5, 3, 3), 1)
 

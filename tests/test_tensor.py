@@ -36,22 +36,22 @@ def naive_causal_conv(x, w, bias, dilation):
 
 class TestCausalConv:
     def test_simple_example(self):
-        y = T.causal_conv1d(Tensor([[1.0, 2.0, 3.0]]), Tensor([[[1.0, 1.0]]]), None, 1)
-        assert np.array_equal(y.data, [[1.0, 3.0, 5.0]])
+        y = T.causal_conv1d(Tensor([[[1.0, 2.0, 3.0]]]), Tensor([[[1.0, 1.0]]]), Tensor([0.0]), 1)
+        assert np.array_equal(y.data, [[[1.0, 3.0, 5.0]]])
 
     def test_identity_kernel(self):
         x = np.random.default_rng(0).standard_normal((3, 10))
         w = np.zeros((3, 3, 5))
         for c in range(3):
             w[c, c, 4] = 1.0  # current-sample tap
-        y = T.causal_conv1d(Tensor(x), Tensor(w), None, 1)
-        assert np.array_equal(y.data, x)
+        y = T.causal_conv1d(Tensor(x[None]), Tensor(w), Tensor(np.zeros(3)), 1)
+        assert np.array_equal(y.data[0], x)
 
     def test_left_pad_of_four(self):
         # kernel 5, dilation 1: the first outputs only see the few real samples
         x = np.ones((1, 8))
         w = np.ones((1, 1, 5))
-        y = T.causal_conv1d(Tensor(x), Tensor(w), None, 1).data[0]
+        y = T.causal_conv1d(Tensor(x[None]), Tensor(w), Tensor(np.zeros(1)), 1).data[0, 0]
         assert np.array_equal(y, [1, 2, 3, 4, 5, 5, 5, 5])
 
     @pytest.mark.parametrize("dilation", [1, 2, 3])
@@ -61,8 +61,8 @@ class TestCausalConv:
         x = rng.standard_normal((3, 12))
         w = rng.standard_normal((4, 3, kernel))
         b = rng.standard_normal(4)
-        y = T.causal_conv1d(Tensor(x), Tensor(w), Tensor(b), dilation)
-        assert np.allclose(y.data, naive_causal_conv(x, w, b, dilation), atol=1e-12)
+        y = T.causal_conv1d(Tensor(x[None]), Tensor(w), Tensor(b), dilation)
+        assert np.allclose(y.data[0], naive_causal_conv(x, w, b, dilation), atol=1e-12)
 
     @pytest.mark.parametrize("dilation", [1, 2, 4])
     def test_length_preserved_and_causal(self, dilation):
@@ -70,12 +70,12 @@ class TestCausalConv:
         x = rng.standard_normal((2, 20))
         w = rng.standard_normal((2, 2, 5))
         b = rng.standard_normal(2)
-        base = T.causal_conv1d(Tensor(x), Tensor(w), Tensor(b), dilation).data
+        base = T.causal_conv1d(Tensor(x[None]), Tensor(w), Tensor(b), dilation).data[0]
         assert base.shape == (2, 20)
         for t_perturb in (5, 12, 19):
             poked = x.copy()
             poked[:, t_perturb] += 3.0
-            out = T.causal_conv1d(Tensor(poked), Tensor(w), Tensor(b), dilation).data
+            out = T.causal_conv1d(Tensor(poked[None]), Tensor(w), Tensor(b), dilation).data[0]
             # positions strictly before the perturbation are bitwise unchanged
             assert np.array_equal(out[:, :t_perturb], base[:, :t_perturb])
             assert np.any(out[:, t_perturb] != base[:, t_perturb])
@@ -87,16 +87,17 @@ class TestCausalConv:
         b = rng.standard_normal(2)
         batched = T.causal_conv1d(Tensor(x), Tensor(w), Tensor(b), 2).data
         for n in range(4):
-            single = T.causal_conv1d(Tensor(x[n]), Tensor(w), Tensor(b), 2).data
+            single = T.causal_conv1d(Tensor(x[n : n + 1]), Tensor(w), Tensor(b), 2).data[0]
             assert np.allclose(batched[n], single, atol=1e-12)
 
     def test_shape_errors(self):
-        with pytest.raises(ValueError):
-            T.causal_conv1d(Tensor(np.ones((2, 5))), Tensor(np.ones((1, 3, 2))), None, 1)
-        with pytest.raises(ValueError):
-            T.causal_conv1d(Tensor(np.ones((2, 5))), Tensor(np.ones((1, 2, 2))), None, 0)
+        x, b = Tensor(np.ones((1, 2, 5))), Tensor(np.zeros(1))
+        with pytest.raises(ValueError, match="channels"):
+            T.causal_conv1d(x, Tensor(np.ones((1, 3, 2))), b, 1)
+        with pytest.raises(ValueError, match="dilation"):
+            T.causal_conv1d(x, Tensor(np.ones((1, 2, 2))), b, 0)
         with pytest.raises(ValueError, match="steps"):
-            T.causal_conv1d(Tensor(np.ones((2, 5))), Tensor(np.ones((1, 2, 2))), None, 1, steps=6)
+            T.causal_conv1d(x, Tensor(np.ones((1, 2, 2))), b, 1, steps=6)
 
     @pytest.mark.parametrize(
         "t_len, k, dilation, steps",
@@ -131,7 +132,8 @@ class TestCausalConv:
         n, c, k, steps = 48, 50, 15, 85
         x = Tensor(rng.standard_normal((n, c, steps + k - 1)), requires_grad=True)
         w = Tensor(rng.standard_normal((c, c, k)), requires_grad=True)
-        out = T.causal_conv1d(x, w, None, 1, steps=steps)
+        b = Tensor(np.zeros(c), requires_grad=True)
+        out = T.causal_conv1d(x, w, b, 1, steps=steps)
         g = rng.standard_normal(out.shape)
         tracemalloc.start()
         try:
@@ -212,8 +214,8 @@ class TestMask:
 def attention_weights(scores):
     """Weights of `causal_attention` on given W x T scores: q = scores, k = I
     and v = I make q k^T = scores and the output equal to the weights."""
-    eye = Tensor(np.eye(np.shape(scores)[-1]))
-    return T.causal_attention(Tensor(scores), eye, eye, 1.0).data
+    eye = Tensor(np.eye(np.shape(scores)[-1])[None])
+    return T.causal_attention(Tensor(np.asarray(scores)[None]), eye, eye, 1.0).data[0]
 
 
 def softmax(row):
@@ -241,8 +243,8 @@ def attention_arrays(rng, shapes, inputs):
 
 class TestCausalAttention:
     def test_one_step_returns_value(self):
-        v = np.array([[0.5, -2.0, 3.0]])
-        out = T.causal_attention(Tensor([[1.3]]), Tensor([[-0.7]]), Tensor(v), 0.5)
+        v = np.array([[[0.5, -2.0, 3.0]]])
+        out = T.causal_attention(Tensor([[[1.3]]]), Tensor([[[-0.7]]]), Tensor(v), 0.5)
         assert np.array_equal(out.data, v)
 
     def test_neg_inf_weights(self):
@@ -252,11 +254,11 @@ class TestCausalAttention:
 
     def test_more_query_rows_than_keys_rejected(self):
         with pytest.raises(ValueError, match="rows"):
-            T.causal_attention(Tensor(np.ones((4, 3))), Tensor(np.ones((3, 3))), Tensor(np.ones((3, 4))), 1.0)
+            T.causal_attention(Tensor(np.ones((1, 4, 3))), Tensor(np.ones((1, 3, 3))), Tensor(np.ones((1, 3, 4))), 1.0)
 
     def test_keys_and_values_must_share_their_steps(self):
         with pytest.raises(ValueError, match="steps"):
-            T.causal_attention(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 3))), Tensor(np.ones((4, 4))), 1.0)
+            T.causal_attention(Tensor(np.ones((1, 2, 3))), Tensor(np.ones((1, 3, 3))), Tensor(np.ones((1, 4, 4))), 1.0)
 
     @pytest.mark.parametrize("inputs", ATTENTION_INPUTS)
     def test_square_call_bitwise_equal_to_parent(self, inputs):
@@ -276,20 +278,20 @@ class TestCausalAttention:
         visible = np.arange(t_len)[None, :] <= reach + np.arange(rows)[:, None]
         w = attention_weights(rng.standard_normal((rows, t_len)))
         assert np.array_equal(w > 0.0, visible)
-        q, k, v = (rng.standard_normal((rows if i == 0 else t_len, 3)) for i in range(3))
-        base = T.causal_attention(Tensor(q), Tensor(k), Tensor(v), 0.5).data
+        q, k, v = (rng.standard_normal((1, rows if i == 0 else t_len, 3)) for i in range(3))
+        base = T.causal_attention(Tensor(q), Tensor(k), Tensor(v), 0.5).data[0]
         for j in range(t_len):
             k2, v2 = k.copy(), v.copy()
-            k2[j] += 1.0
-            v2[j] += 1.0
-            out = T.causal_attention(Tensor(q), Tensor(k2), Tensor(v2), 0.5).data
+            k2[0, j] += 1.0
+            v2[0, j] += 1.0
+            out = T.causal_attention(Tensor(q), Tensor(k2), Tensor(v2), 0.5).data[0]
             changed = np.any(out != base, axis=-1)
             assert np.array_equal(changed, visible[:, j]), f"key step {j}"
 
     @pytest.mark.parametrize("inputs", ATTENTION_INPUTS)
     @pytest.mark.parametrize(
         "qk_shape, v_shape",
-        [((3, 7, 4), (3, 7, 5)), ((6, 2), (6, 3)), ((1, 3), (1, 2)), ((2, 1, 4), (2, 1, 4))],
+        [((3, 7, 4), (3, 7, 5)), ((1, 6, 2), (1, 6, 3)), ((1, 1, 3), (1, 1, 2)), ((2, 1, 4), (2, 1, 4))],
     )
     def test_bitwise_equal_to_composed_chain(self, inputs, qk_shape, v_shape):
         rng = np.random.default_rng(len(qk_shape) * 100 + qk_shape[-2])
@@ -307,13 +309,12 @@ class TestCausalAttention:
     @pytest.mark.parametrize("inputs", ATTENTION_INPUTS)
     @pytest.mark.parametrize(
         "q_shape, k_shape, v_shape",
-        [((3, 2, 4), (3, 7, 4), (3, 7, 5)), ((1, 3), (6, 3), (6, 2)), ((2, 4, 2), (1, 5, 2), (2, 5, 3))],
+        [((3, 2, 4), (3, 7, 4), (3, 7, 5)), ((1, 1, 3), (1, 6, 3), (1, 6, 2))],
     )
     def test_offset_bitwise_equal_to_composed_chain(self, inputs, q_shape, k_shape, v_shape):
         rng = np.random.default_rng(q_shape[-2] * 10 + k_shape[-2])
         arrays = attention_arrays(rng, [q_shape, k_shape, v_shape], inputs)
-        out_shape = np.broadcast_shapes(q_shape[:-2], v_shape[:-2]) + (q_shape[-2], v_shape[-1])
-        coeffs = Tensor(rng.standard_normal(out_shape))
+        coeffs = Tensor(rng.standard_normal(q_shape[:-1] + v_shape[-1:]))
         results = []
         for attend in (T.causal_attention, reference_attention):
             q, k, v = (Tensor(a.copy(), requires_grad=True) for a in arrays)
@@ -322,6 +323,31 @@ class TestCausalAttention:
             results.append((out.data, q.grad, k.grad, v.grad))
         for fused, composed, name in zip(*results, ("output", "q.grad", "k.grad", "v.grad")):
             assert fused.shape == composed.shape and np.array_equal(fused, composed), name
+
+
+def _ones(*shape):
+    return Tensor(np.ones(shape))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: T.causal_conv1d(_ones(2, 5), _ones(3, 2, 2), _ones(3)), r"\(N, C_in, T\), got \(2, 5\)"),
+        (lambda: T.causal_conv1d(_ones(1, 2, 5), _ones(3, 2, 2), None), r"bias must have shape \(3,\), got None"),
+        (
+            lambda: T.causal_attention(_ones(4, 3), _ones(4, 3), _ones(4, 2), 1.0),
+            r"one N; got q \(4, 3\), k \(4, 3\), v \(4, 2\)",
+        ),
+        (
+            lambda: T.causal_attention(_ones(1, 4, 3), _ones(2, 4, 3), _ones(2, 4, 2), 1.0),
+            r"one N; got q \(1, 4, 3\), k \(2, 4, 3\), v \(2, 4, 2\)",
+        ),
+    ],
+    ids=["conv_2d_input", "conv_without_bias", "attention_2d", "attention_mismatched_batch"],
+)
+def test_kernels_refuse_every_other_form_by_name(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def _forward_backward(op, arrays, needs_grad, seed):
@@ -375,22 +401,19 @@ class TestFanOut:
 
     @pytest.mark.parametrize("workers", [2, 3])
     @pytest.mark.parametrize(
-        "x_shape, dilation, with_bias, x_grad",
+        "x_shape, dilation, x_grad",
         [
-            ((2, 9), 1, True, True),  # squeezed (C_in, T)
-            ((1, 2, 9), 2, True, True),  # N = 1
-            ((3, 2, 9), 1, True, True),
-            ((5, 3, 11), 2, True, True),
-            ((4, 2, 13), 4, True, True),
-            ((5, 2, 9), 2, False, True),
-            ((5, 2, 9), 1, True, False),
+            ((1, 2, 9), 2, True),  # N = 1
+            ((3, 2, 9), 1, True),
+            ((5, 3, 11), 2, True),
+            ((4, 2, 13), 4, True),
+            ((5, 2, 9), 1, False),
         ],
     )
-    def test_conv_bitwise_equal_to_one_worker(self, monkeypatch, workers, x_shape, dilation, with_bias, x_grad):
+    def test_conv_bitwise_equal_to_one_worker(self, monkeypatch, workers, x_shape, dilation, x_grad):
         rng = np.random.default_rng(x_shape[0] * 10 + dilation)
         c_in = x_shape[-2]
-        arrays = [rng.standard_normal(x_shape), rng.standard_normal((3, c_in, 3))]
-        arrays.append(rng.standard_normal(3) if with_bias else None)
+        arrays = [rng.standard_normal(x_shape), rng.standard_normal((3, c_in, 3)), rng.standard_normal(3)]
         op = lambda x, w, b: T.causal_conv1d(x, w, b, dilation)  # noqa: E731
         _assert_same_on_workers(monkeypatch, workers, op, arrays, [x_grad, True, True])
 
@@ -416,8 +439,6 @@ class TestFanOut:
             ((3, 7, 4), (3, 7, 4), (3, 7, 5)),
             ((5, 6, 3), (5, 6, 3), (5, 6, 3)),
             ((3, 1, 4), (3, 1, 4), (3, 1, 2)),  # T = 1
-            ((6, 2), (6, 2), (6, 3)),  # unbatched
-            ((1, 5, 3), (4, 5, 3), (4, 5, 2)),  # broadcast batch axis
             ((5, 2, 3), (5, 6, 3), (5, 6, 4)),  # query rows at the last 2 of 6 steps
         ],
     )
@@ -528,28 +549,25 @@ class TestChunkedKernels:
     @pytest.mark.parametrize("budget", CHUNK_BUDGETS)
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize(
-        "x_shape, w_shape, dilation, with_bias, x_grad",
+        "x_shape, w_shape, dilation, x_grad",
         [
-            ((2, 9), (3, 2, 3), 1, True, True),  # squeezed (C_in, T)
-            ((1, 2, 9), (3, 2, 3), 2, True, True),  # N = 1
-            ((3, 2, 9), (3, 2, 3), 1, True, True),
-            ((5, 3, 11), (4, 3, 3), 2, True, True),
-            ((5, 2, 13), (3, 2, 3), 4, True, True),
-            ((3, 2, 5), (2, 2, 3), 4, True, True),  # the pad (8) is longer than T
-            ((4, 3, 7), (3, 3, 1), 1, True, True),  # k = 1, no pad
-            ((3, 4, 1), (5, 4, 3), 2, True, True),  # T = 1
-            ((3, 1, 9), (1, 1, 4), 1, True, True),  # one channel in and out
-            ((5, 2, 9), (3, 2, 3), 2, False, True),  # no bias
-            ((5, 2, 9), (3, 2, 3), 1, True, False),  # x without grad
-            ((5, 50, 250), (50, 50, 3), 2, True, True),  # default budget: chunks of 2
+            ((1, 2, 9), (3, 2, 3), 2, True),  # N = 1
+            ((3, 2, 9), (3, 2, 3), 1, True),
+            ((5, 3, 11), (4, 3, 3), 2, True),
+            ((5, 2, 13), (3, 2, 3), 4, True),
+            ((3, 2, 5), (2, 2, 3), 4, True),  # the pad (8) is longer than T
+            ((4, 3, 7), (3, 3, 1), 1, True),  # k = 1, no pad
+            ((3, 4, 1), (5, 4, 3), 2, True),  # T = 1
+            ((3, 1, 9), (1, 1, 4), 1, True),  # one channel in and out
+            ((5, 2, 9), (3, 2, 3), 1, False),  # x without grad
+            ((5, 50, 250), (50, 50, 3), 2, True),  # default budget: chunks of 2
         ],
     )
-    def test_conv_bitwise_equal_to_parent(self, monkeypatch, budget, workers, x_shape, w_shape, dilation, with_bias, x_grad):
+    def test_conv_bitwise_equal_to_parent(self, monkeypatch, budget, workers, x_shape, w_shape, dilation, x_grad):
         monkeypatch.setattr(T, "_CHUNK_BYTES", budget)
         monkeypatch.setattr(T, "_WORKERS", workers)
         rng = np.random.default_rng(x_shape[0] * 10 + dilation)
-        arrays = [rng.standard_normal(x_shape), rng.standard_normal(w_shape)]
-        arrays.append(rng.standard_normal(w_shape[0]) if with_bias else None)
+        arrays = [rng.standard_normal(x_shape), rng.standard_normal(w_shape), rng.standard_normal(w_shape[0])]
         needs = [x_grad, True, True]
         ours = _forward_backward(lambda x, w, b: T.causal_conv1d(x, w, b, dilation), arrays, needs, seed=1)
         theirs = _forward_backward(
@@ -565,8 +583,6 @@ class TestChunkedKernels:
         [
             ((5, 7, 4), (5, 7, 4), (5, 7, 5)),
             ((3, 1, 4), (3, 1, 4), (3, 1, 2)),  # T = 1
-            ((6, 2), (6, 2), (6, 3)),  # unbatched
-            ((1, 5, 3), (4, 5, 3), (4, 5, 2)),  # broadcast batch axis
             ((5, 100, 4), (5, 100, 4), (5, 100, 3)),  # default budget: backward chunks of 2
         ],
     )
