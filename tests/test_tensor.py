@@ -309,7 +309,7 @@ class TestCausalAttention:
     @pytest.mark.parametrize("inputs", ATTENTION_INPUTS)
     @pytest.mark.parametrize(
         "q_shape, k_shape, v_shape",
-        [((3, 2, 4), (3, 7, 4), (3, 7, 5)), ((1, 1, 3), (1, 6, 3), (1, 6, 2))],
+        [((3, 2, 4), (3, 7, 4), (3, 7, 5)), ((1, 1, 3), (1, 6, 3), (1, 6, 2)), ((2, 4, 2), (2, 5, 2), (2, 5, 3))],
     )
     def test_offset_bitwise_equal_to_composed_chain(self, inputs, q_shape, k_shape, v_shape):
         rng = np.random.default_rng(q_shape[-2] * 10 + k_shape[-2])
@@ -404,9 +404,11 @@ class TestFanOut:
         "x_shape, dilation, x_grad",
         [
             ((1, 2, 9), 2, True),  # N = 1
+            ((1, 2, 9), 1, True),  # N = 1, dilation 1: a receptive-field probe
             ((3, 2, 9), 1, True),
             ((5, 3, 11), 2, True),
             ((4, 2, 13), 4, True),
+            ((4, 5, 9), 2, True),  # more channels in than out
             ((5, 2, 9), 1, False),
         ],
     )
@@ -439,7 +441,9 @@ class TestFanOut:
             ((3, 7, 4), (3, 7, 4), (3, 7, 5)),
             ((5, 6, 3), (5, 6, 3), (5, 6, 3)),
             ((3, 1, 4), (3, 1, 4), (3, 1, 2)),  # T = 1
+            ((1, 6, 2), (1, 6, 2), (1, 6, 3)),  # N = 1
             ((5, 2, 3), (5, 6, 3), (5, 6, 4)),  # query rows at the last 2 of 6 steps
+            ((4, 1, 3), (4, 5, 3), (4, 5, 2)),  # one query row, at the last of 5 steps
         ],
     )
     def test_attention_bitwise_equal_to_one_worker(self, monkeypatch, workers, inputs, q_shape, k_shape, v_shape):
@@ -552,6 +556,7 @@ class TestChunkedKernels:
         "x_shape, w_shape, dilation, x_grad",
         [
             ((1, 2, 9), (3, 2, 3), 2, True),  # N = 1
+            ((1, 2, 9), (3, 2, 3), 1, True),  # N = 1, dilation 1: a receptive-field probe
             ((3, 2, 9), (3, 2, 3), 1, True),
             ((5, 3, 11), (4, 3, 3), 2, True),
             ((5, 2, 13), (3, 2, 3), 4, True),
@@ -559,6 +564,7 @@ class TestChunkedKernels:
             ((4, 3, 7), (3, 3, 1), 1, True),  # k = 1, no pad
             ((3, 4, 1), (5, 4, 3), 2, True),  # T = 1
             ((3, 1, 9), (1, 1, 4), 1, True),  # one channel in and out
+            ((4, 5, 9), (2, 5, 3), 2, True),  # more channels in than out
             ((5, 2, 9), (3, 2, 3), 1, False),  # x without grad
             ((5, 50, 250), (50, 50, 3), 2, True),  # default budget: chunks of 2
         ],
@@ -583,6 +589,8 @@ class TestChunkedKernels:
         [
             ((5, 7, 4), (5, 7, 4), (5, 7, 5)),
             ((3, 1, 4), (3, 1, 4), (3, 1, 2)),  # T = 1
+            ((1, 6, 2), (1, 6, 2), (1, 6, 3)),  # N = 1
+            ((4, 9, 1), (4, 9, 1), (4, 9, 6)),  # d_k = 1
             ((5, 100, 4), (5, 100, 4), (5, 100, 3)),  # default budget: backward chunks of 2
         ],
     )
