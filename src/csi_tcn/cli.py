@@ -1,8 +1,9 @@
 """Command-line surface: synth | preprocess | augment | train | eval |
 gradcheck | ablate.
 
-Every command is a thin composition of the library modules, reads one JSON
-config (with `--set section.key=value` overrides), and emits deterministic
+Every command is a thin composition of the library modules. All but
+`gradcheck`, which runs a fixed battery and takes no options, read one JSON
+config (with `--set section.key=value` overrides) and emit deterministic
 files: same inputs and seed give byte-identical outputs. Wall-clock timings
 go to a separate `timings.csv`, which is the one intentionally
 non-reproducible artifact. Every command that writes `--out` writes
@@ -56,7 +57,7 @@ from .train import (
 __all__ = ["main"]
 
 
-def _add_common(sp: argparse.ArgumentParser, needs_out: bool) -> None:
+def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--config", default=None, help="JSON run configuration")
     sp.add_argument("--seed", type=int, default=None, help="global seed (overrides config)")
     sp.add_argument(
@@ -67,8 +68,7 @@ def _add_common(sp: argparse.ArgumentParser, needs_out: bool) -> None:
         metavar="KEY=VALUE",
         help="override one config field, e.g. --set model.kernel=7 (repeatable)",
     )
-    if needs_out:
-        sp.add_argument("--out", required=True, help="output directory")
+    sp.add_argument("--out", required=True, help="output directory")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -80,12 +80,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("synth", help="generate a synthetic raw dataset")
-    _add_common(sp, needs_out=True)
+    _add_common(sp)
     sp.set_defaults(func=cmd_synth)
 
     sp = sub.add_parser("preprocess", help="gate/trim and run the DSP chain")
     sp.add_argument("manifest", help="raw dataset manifest")
-    _add_common(sp, needs_out=True)
+    _add_common(sp)
     sp.set_defaults(func=cmd_preprocess)
 
     sp = sub.add_parser("augment", help="expand a dataset with augmentations")
@@ -96,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="post",
         help="post: preprocessed samples (default); pre: raw complex recordings",
     )
-    _add_common(sp, needs_out=True)
+    _add_common(sp)
     sp.set_defaults(func=cmd_augment)
 
     sp = sub.add_parser("train", help="train a model (validates on fold 0)")
@@ -108,17 +108,16 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="K",
         help="run full k-fold cross-validation instead of a single run",
     )
-    _add_common(sp, needs_out=True)
+    _add_common(sp)
     sp.set_defaults(func=cmd_train)
 
     sp = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
     sp.add_argument("manifest", help="preprocessed dataset manifest")
     sp.add_argument("--checkpoint", required=True, help="model checkpoint file")
-    _add_common(sp, needs_out=True)
+    _add_common(sp)
     sp.set_defaults(func=cmd_eval)
 
     sp = sub.add_parser("gradcheck", help="finite-difference checks of all primitives")
-    _add_common(sp, needs_out=False)
     sp.set_defaults(func=cmd_gradcheck)
 
     sp = sub.add_parser("ablate", help="sweep one knob and tabulate accuracy/loss")
@@ -129,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="comma-separated sweep points, e.g. 2,7,15 or none,dropout,mix_same",
     )
-    _add_common(sp, needs_out=True)
+    _add_common(sp)
     sp.set_defaults(func=cmd_ablate)
     return parser
 
@@ -360,7 +359,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
-    _load_config(args)  # validates config/overrides even though defaults suffice
     rows = run_battery()
     width = max(len(r.name) for r in rows)
     failures = 0

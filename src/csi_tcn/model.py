@@ -67,7 +67,10 @@ class ModelConfig:
     in_features: int = 30
 
     def __post_init__(self) -> None:
-        self.filters = tuple(int(f) for f in self.filters)
+        filters = tuple(self.filters)
+        if any(isinstance(f, bool) or not isinstance(f, (int, np.integer)) for f in filters):
+            raise ValueError(f"filters {filters} must all be integers")
+        self.filters = tuple(int(f) for f in filters)
         self.attention_placement = AttentionPlacement(self.attention_placement)
         if any(f < 1 for f in self.filters):
             raise ValueError(f"filters {self.filters} must all be >= 1")

@@ -1,10 +1,11 @@
 """Dense float64 arrays with recorded operations and reverse-mode gradients.
 
-Covers exactly the primitives the classifier needs: dilated causal 1-D
-convolution (optionally only its last output steps), affine maps, row
-softmax, fused causal attention over a W x T score block (W query rows
-aligned to the end of T key steps), ReLU, elementwise add and multiply, axis
-reductions, inverted dropout, and cross-entropy.
+Covers exactly the primitives a training step of the classifier records:
+dilated causal 1-D convolution (optionally only its last output steps),
+affine maps, matrix products, row softmax, fused causal attention over a
+W x T score block (W query rows aligned to the end of T key steps), ReLU,
+elementwise add and multiply, transpose, reshape and basic indexing, the
+mean over one axis, inverted dropout, and cross-entropy.
 Graphs are built eagerly; calling `backward()` on a scalar root accumulates
 gradients into every reachable tensor that requires them. Like PyTorch's
 default (`retain_graph=False`), backward frees the graph as it walks it: each
@@ -16,8 +17,10 @@ their `.grad`; a second backward through a consumed graph raises ValueError.
 Conventions: the two kernels take batched operands only, the batch on axis
 0. Convolution inputs are (N, C, T), with time trailing, and attention
 operands are (N, T, F), all three with the same N; a 2-D operand, mismatched
-batch sizes or a missing conv bias are refused by name. matmul requires
->= 2-D operands and broadcasts leading batch axes.
+batch sizes or a missing conv bias are refused by name. `add` takes two
+operands of one shape and refuses any other pair by name. `mul` broadcasts,
+and matmul requires >= 2-D operands and broadcasts leading batch axes; their
+gradients are summed back to each operand's shape.
 
 Threading: `causal_conv1d` and `causal_attention` hand each forward and
 backward pass to `_over_chunks` as a body that works on one chunk of samples.
@@ -67,7 +70,6 @@ __all__ = [
     "causal_conv1d",
     "linear",
     "mean_over_axis",
-    "sum_over",
     "dropout_layer",
     "cross_entropy_mean",
     "backward",
@@ -266,13 +268,13 @@ def _over_chunks(n: int, sample_shapes: Sequence[tuple[int, ...]], fn: Callable[
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
+    if a.shape != b.shape:
+        raise ValueError(f"add operands must share one shape; got {a.shape} and {b.shape}")
     data = a.data + b.data
 
     def backward_fn(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g, a.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(g, b.shape))
+        _accumulate(a, g)
+        _accumulate(b, g)
 
     return _make(data, (a, b), backward_fn, "add")
 
@@ -329,18 +331,6 @@ def index(a: Tensor, idx) -> Tensor:
         _accumulate(a, ga)
 
     return _make(np.array(data), (a,), backward_fn, "index")
-
-
-def sum_over(a: Tensor, axis: Optional[int] = None) -> Tensor:
-    data = a.data.sum(axis=axis)
-
-    def backward_fn(g):
-        if axis is None:
-            _accumulate(a, np.broadcast_to(g, a.shape).copy())
-        else:
-            _accumulate(a, np.broadcast_to(np.expand_dims(g, axis), a.shape).copy())
-
-    return _make(data, (a,), backward_fn, "sum")
 
 
 def mean_over_axis(a: Tensor, axis: int) -> Tensor:

@@ -342,10 +342,7 @@ def train(
                 for p in named.values():
                     p.grad = None
                 loss.backward()
-                grads = {
-                    k: (p.grad if p.grad is not None else np.zeros_like(p.data))
-                    for k, p in named.items()
-                }
+                grads = {k: p.grad for k, p in named.items()}
                 for k, g in grads.items():
                     if not np.all(np.isfinite(g)):
                         raise ValueError(f"non-finite gradient of {k} at epoch {epoch}, batch {batch}")

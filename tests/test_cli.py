@@ -300,8 +300,18 @@ def test_run_config_has_39_settable_keys():
         assert run_config_to_dict(load_run_config(overrides=[f"{key}={json.dumps(value)}"])) == defaults
 
 
-@pytest.mark.parametrize("filters", ["[4,0,0]", "[4,0,4]"])
-def test_zero_width_filters_fail_before_output(workspace, tmp_path, capsys, filters):
+@pytest.mark.parametrize(
+    "filters, problem",
+    [
+        ("[4,0,0]", "must all be >= 1"),
+        ("[4,0,4]", "must all be >= 1"),
+        # int() would truncate 4.5 to a 4-wide block and read true as width 1
+        ("[4.5,4]", "must all be integers"),
+        ("[true,4]", "must all be integers"),
+    ],
+    ids=["[4,0,0]", "[4,0,4]", "[4.5,4]", "[true,4]"],
+)
+def test_bad_filter_widths_fail_before_output(workspace, tmp_path, capsys, filters, problem):
     root, cfg = workspace
     out = tmp_path / "never"
     code = main(
@@ -309,7 +319,7 @@ def test_zero_width_filters_fail_before_output(workspace, tmp_path, capsys, filt
     )
     assert code == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: invalid config section 'model': filters ") and "must all be >= 1" in err
+    assert err.startswith("error: invalid config section 'model': filters ") and problem in err
     assert len(err.strip().splitlines()) == 1
     assert not out.exists()
 
@@ -767,6 +777,14 @@ def test_seed_flag_overrides_file(workspace, tmp_path):
 def test_gradcheck_passes(capsys):
     assert main(["gradcheck"]) == 0
     assert "all" in capsys.readouterr().out
+
+
+def test_gradcheck_takes_no_options(capsys):
+    # the battery is fixed: a seed, config or override would change nothing
+    with pytest.raises(SystemExit) as exc:
+        main(["gradcheck", "--seed", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
 
 def test_ablate_table(workspace, tmp_path):

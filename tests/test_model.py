@@ -12,6 +12,7 @@ from attention_reference import reference_attention_forward
 from model_reference import full_length_forward
 from csi_tcn import model as model_mod
 from csi_tcn import tensor as T
+from csi_tcn.gradchecks import _weighted_sum
 from csi_tcn.model import (
     AttentionParams,
     AttentionPlacement,
@@ -94,7 +95,7 @@ class TestAttention:
         h = Tensor(rng.standard_normal((1, 5, 4)), requires_grad=True)
         out = attention_forward(h, p)
         t_probe = 2
-        T.sum_over(T.index(out, (0, t_probe))).backward()
+        _weighted_sum(T.index(out, (0, t_probe)), np.ones(4)).backward()
         assert np.array_equal(h.grad[0, t_probe + 1 :], np.zeros((2, 4)))
         assert np.any(h.grad[0, : t_probe + 1] != 0.0)
 
@@ -156,7 +157,7 @@ class TestFusedAttention:
             before = tracemalloc.get_traced_memory()[0]
             out = attention_forward(h, p)
             retained = tracemalloc.get_traced_memory()[0] - before
-            T.sum_over(out).backward()
+            _weighted_sum(out, np.ones(out.shape)).backward()
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
@@ -180,7 +181,7 @@ class TestAttentionMemory:
             before = tracemalloc.get_traced_memory()[0]
             out = attention_forward(h, p)
             retained = tracemalloc.get_traced_memory()[0] - before
-            T.sum_over(out).backward()
+            _weighted_sum(out, np.ones(out.shape)).backward()
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import kernel_reference
 from attention_reference import lower_triangular_mask, reference_attention
 from csi_tcn import tensor as T
+from csi_tcn.gradchecks import _weighted_sum
 from csi_tcn.tensor import Tensor, grad_check
 
 
@@ -119,7 +120,7 @@ class TestCausalConv:
         for kept, c in ((steps, coeffs), (None, padded)):
             x, w, b = (Tensor(a.copy(), requires_grad=True) for a in arrays)
             out = T.causal_conv1d(x, w, b, dilation, steps=kept)
-            T.sum_over(T.mul(out, Tensor(c))).backward()
+            _weighted_sum(out, c).backward()
             results.append((out.data[..., -steps:], x.grad, w.grad, b.grad))
         for ours, full, name in zip(*results, ("output", "x.grad", "w.grad", "b.grad")):
             assert ours.shape == full.shape, name
@@ -296,12 +297,12 @@ class TestCausalAttention:
     def test_bitwise_equal_to_composed_chain(self, inputs, qk_shape, v_shape):
         rng = np.random.default_rng(len(qk_shape) * 100 + qk_shape[-2])
         arrays = attention_arrays(rng, [qk_shape, qk_shape, v_shape], inputs)
-        coeffs = Tensor(rng.standard_normal(v_shape))
+        coeffs = rng.standard_normal(v_shape)
         results = []
         for attend in (T.causal_attention, reference_attention):
             q, k, v = (Tensor(a.copy(), requires_grad=True) for a in arrays)
             out = attend(q, k, v, 1.0 / math.sqrt(qk_shape[-1]))
-            T.sum_over(T.mul(out, coeffs)).backward()
+            _weighted_sum(out, coeffs).backward()
             results.append((out.data, q.grad, k.grad, v.grad))
         for fused, composed, name in zip(*results, ("output", "q.grad", "k.grad", "v.grad")):
             assert np.array_equal(fused, composed), name
@@ -314,12 +315,12 @@ class TestCausalAttention:
     def test_offset_bitwise_equal_to_composed_chain(self, inputs, q_shape, k_shape, v_shape):
         rng = np.random.default_rng(q_shape[-2] * 10 + k_shape[-2])
         arrays = attention_arrays(rng, [q_shape, k_shape, v_shape], inputs)
-        coeffs = Tensor(rng.standard_normal(q_shape[:-1] + v_shape[-1:]))
+        coeffs = rng.standard_normal(q_shape[:-1] + v_shape[-1:])
         results = []
         for attend in (T.causal_attention, reference_attention):
             q, k, v = (Tensor(a.copy(), requires_grad=True) for a in arrays)
             out = attend(q, k, v, 0.45)
-            T.sum_over(T.mul(out, coeffs)).backward()
+            _weighted_sum(out, coeffs).backward()
             results.append((out.data, q.grad, k.grad, v.grad))
         for fused, composed, name in zip(*results, ("output", "q.grad", "k.grad", "v.grad")):
             assert fused.shape == composed.shape and np.array_equal(fused, composed), name
@@ -350,13 +351,18 @@ def test_kernels_refuse_every_other_form_by_name(call, message):
         call()
 
 
+def test_add_refuses_operands_of_two_shapes():
+    # the bias-style broadcast the gradient battery used to check
+    with pytest.raises(ValueError, match=r"one shape; got \(3, 4\) and \(4,\)"):
+        T.add(_ones(3, 4), _ones(4))
+
+
 def _forward_backward(op, arrays, needs_grad, seed):
     """Output and every gradient of sum(op(*tensors) * c) for fixed random c."""
     tensors = [None if a is None else Tensor(a.copy(), requires_grad=f) for a, f in zip(arrays, needs_grad)]
     out = op(*tensors)
     if out.requires_grad:
-        coeffs = Tensor(np.random.default_rng(seed).standard_normal(out.shape))
-        T.sum_over(T.mul(out, coeffs)).backward()
+        _weighted_sum(out, np.random.default_rng(seed).standard_normal(out.shape)).backward()
     return [out.data] + [None if t is None else t.grad for t in tensors]
 
 
@@ -629,7 +635,7 @@ class TestChunkedKernels:
         finally:
             tracemalloc.stop()
         assert retained <= 1.1 * unit, f"forward retains {retained / unit:.2f} output-sized units"
-        T.sum_over(out).backward()
+        _weighted_sum(out, np.ones(out.shape)).backward()
         assert x.grad.shape == x.shape
 
 
@@ -658,12 +664,12 @@ class TestElementwiseAndDropout:
         # negative inputs and gradients make -0.0 where a sample is dropped
         rng = np.random.default_rng(9)
         x_data = rng.standard_normal((4, 6, 5))
-        coeffs = Tensor(rng.standard_normal((4, 6, 5)))
+        coeffs = rng.standard_normal((4, 6, 5))
         results = []
         for dropout in (T.dropout_layer, kernel_reference.dropout_layer):
             x = Tensor(x_data.copy(), requires_grad=True)
             y = dropout(x, p, training=True, rng=np.random.default_rng(3))
-            T.sum_over(T.mul(y, coeffs)).backward()
+            _weighted_sum(y, coeffs).backward()
             results.append((y.data, x.grad))
         assert np.any(np.signbit(results[0][0]) & (results[0][0] == 0.0))
         _assert_same_bits(*results)
@@ -740,14 +746,16 @@ class TestCrossEntropy:
 class TestBackward:
     def test_square_gradient(self):
         x = Tensor([3.0], requires_grad=True)
-        y = T.sum_over(T.mul(x, x))
+        y = _weighted_sum(T.mul(x, x), np.ones(1))
         y.backward()
         assert np.allclose(x.grad, [6.0], atol=1e-12)
 
-    def test_gradient_of_sum_is_ones(self):
-        x = Tensor(np.random.default_rng(0).standard_normal((3, 4)), requires_grad=True)
-        T.sum_over(x).backward()
-        assert np.array_equal(x.grad, np.ones((3, 4)))
+    def test_gradient_of_weighted_sum_is_its_coefficients(self):
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        c = rng.standard_normal((3, 4))
+        _weighted_sum(x, c).backward()
+        assert np.array_equal(x.grad, c)
 
     def test_non_scalar_root_rejected(self):
         x = Tensor(np.ones(3), requires_grad=True)
@@ -756,7 +764,7 @@ class TestBackward:
 
     def test_fan_out_accumulates(self):
         x = Tensor([2.0], requires_grad=True)
-        y = T.sum_over(T.add(T.mul(x, x), x))  # x^2 + x
+        y = _weighted_sum(T.add(T.mul(x, x), x), np.ones(1))  # x^2 + x
         y.backward()
         assert np.allclose(x.grad, [5.0], atol=1e-12)
 
@@ -768,7 +776,7 @@ class TestBackward:
         x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
         c = rng.standard_normal((3, 4))
         y = op(x, x)
-        T.sum_over(T.mul(y, Tensor(c))).backward()
+        _weighted_sum(y, c).backward()
         assert np.array_equal(x.grad, expected(x.data, c))
         assert np.array_equal(y.grad, c)
 
@@ -783,10 +791,7 @@ class TestBackward:
         c3 = rng.standard_normal((2, 6))
         r = T.reshape(x, (3, 4))
         t = T.transpose(r, (1, 0))
-        loss = T.add(
-            T.add(T.sum_over(T.mul(t, Tensor(c1))), T.sum_over(T.mul(r, Tensor(c2)))),
-            T.sum_over(T.mul(x, Tensor(c3))),
-        )
+        loss = T.add(T.add(_weighted_sum(t, c1), _weighted_sum(r, c2)), _weighted_sum(x, c3))
         loss.backward()
         assert np.array_equal(t.grad, c1)
         assert np.array_equal(r.grad, c1.T + c2)
@@ -794,7 +799,7 @@ class TestBackward:
 
     def test_second_backward_through_a_consumed_graph_raises(self):
         x = Tensor([2.0, -1.0], requires_grad=True)
-        loss = T.sum_over(T.mul(x, x))
+        loss = _weighted_sum(T.mul(x, x), np.ones(2))
         loss.backward()
         first = x.grad
         with pytest.raises(ValueError, match="already consumed by backward"):
@@ -805,9 +810,9 @@ class TestBackward:
     def test_backward_into_a_consumed_subgraph_raises(self):
         x = Tensor([3.0], requires_grad=True)
         y = T.mul(x, x)
-        T.sum_over(y).backward()
+        _weighted_sum(y, np.ones(1)).backward()
         with pytest.raises(ValueError, match="already consumed by backward"):
-            T.sum_over(T.add(y, x)).backward()
+            _weighted_sum(T.add(y, x), np.ones(1)).backward()
         assert np.array_equal(x.grad, [6.0])
 
     def test_scalar_leaf_root(self):
@@ -819,12 +824,12 @@ class TestBackward:
     def test_graph_is_released_as_it_is_consumed(self):
         x = Tensor(np.ones((2, 3)), requires_grad=True)
         h = T.mul(x, Tensor(np.full((2, 3), 2.0)))
-        loss = T.sum_over(T.relu(h))
+        loss = _weighted_sum(T.relu(h), np.ones((2, 3)))
         seen = []
         inner = h._backward
 
         def probe(g):
-            # when h runs, the sum above it has already let go of relu
+            # when h runs, the reduction above it has already let go of relu
             seen.append(loss._parents)
             inner(g)
 
@@ -838,9 +843,9 @@ class TestBackward:
 
     def test_grad_check_linear_is_tight(self):
         w = Tensor(np.random.default_rng(1).standard_normal((2, 3)), requires_grad=True)
-        coeff = Tensor(np.random.default_rng(2).standard_normal((4, 2)))
+        coeff = np.random.default_rng(2).standard_normal((4, 2))
         x = np.random.default_rng(3).standard_normal((4, 3))
-        err = grad_check(lambda ww: T.sum_over(T.mul(T.linear(Tensor(x), ww), coeff)), w)
+        err = grad_check(lambda ww: _weighted_sum(T.linear(Tensor(x), ww), coeff), w)
         assert err < 1e-9
 
     def test_grad_check_softmax_cross_entropy(self):

@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 
 import csi_tcn
+from csi_tcn import tensor as T
 from csi_tcn import train as train_mod
 from csi_tcn.dsp import PreprocessedSample
-from csi_tcn.model import ModelConfig, init_model, model_forward
+from csi_tcn.model import ModelConfig, init_model, model_forward, receptive_field
 from csi_tcn.seeding import named_rng
 from csi_tcn.tensor import Tensor, cross_entropy_mean
 from csi_tcn.train import (
@@ -394,6 +395,46 @@ class TestTraining:
         assert accuracy == metrics.val_accuracy[-1]
         assert loss == pytest.approx(metrics.val_loss[-1], abs=1e-15)
         assert np.array_equal(confusion, metrics.confusion)
+
+
+class TestTrainingStep:
+    """One step over all 18 samples: tiny_model's first block maps the 12
+    input features to 6 channels, so it carries a residual projection."""
+
+    def test_records_every_tensor_op(self, small_dataset, monkeypatch):
+        # pre_tcn_only attention, dropout > 0, and samples longer than the
+        # receptive-field window, so the input is cut to the window
+        cfg = tiny_model(attention_placement="pre_tcn_only", dropout=0.1)
+        assert small_dataset[0].data.shape[1] > receptive_field(cfg)
+        recorded = []
+        real_backward = T.backward
+
+        def walk_then_backward(root):
+            ops, stack, seen = set(), [root], set()
+            while stack:
+                node = stack.pop()
+                if id(node) not in seen:
+                    seen.add(id(node))
+                    ops.add(node.op)
+                    stack.extend(node._parents)
+            recorded.append(ops - {"leaf"})
+            real_backward(root)
+
+        monkeypatch.setattr(T, "backward", walk_then_backward)
+        train(small_dataset, cfg, TrainConfig(batch_size=len(small_dataset), epochs=1, seed=0))
+        renamed = {"mean_over_axis": "mean", "dropout_layer": "dropout"}
+        ops = {renamed.get(name, name) for name in T.__all__ if name not in ("Tensor", "backward", "grad_check")}
+        assert len(recorded) == 1
+        assert recorded[0] == ops
+
+    @pytest.mark.parametrize("placement", ["pre_tcn_only", "post_tcn", "every_layer", "none"])
+    def test_every_parameter_gets_a_finite_gradient_of_its_shape(self, small_dataset, placement):
+        cfg = tiny_model(attention_placement=placement)
+        params, _ = train(small_dataset, cfg, TrainConfig(batch_size=len(small_dataset), epochs=1, seed=0))
+        assert any(name.endswith(".proj") for name in params.named())
+        for name, p in params.named().items():
+            assert isinstance(p.grad, np.ndarray) and p.grad.shape == p.shape, name
+            assert np.all(np.isfinite(p.grad)), name
 
 
 def _record_eval_forwards(monkeypatch, caller):
