@@ -67,6 +67,8 @@ class ModelConfig:
     in_features: int = 30
 
     def __post_init__(self) -> None:
+        if not isinstance(self.filters, (list, tuple)):
+            raise ValueError(f"filters must be a list of integers, got {self.filters!r}")
         filters = tuple(self.filters)
         if any(isinstance(f, bool) or not isinstance(f, (int, np.integer)) for f in filters):
             raise ValueError(f"filters {filters} must all be integers")

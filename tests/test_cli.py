@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -308,8 +310,10 @@ def test_run_config_has_39_settable_keys():
         # int() would truncate 4.5 to a 4-wide block and read true as width 1
         ("[4.5,4]", "must all be integers"),
         ("[true,4]", "must all be integers"),
+        ("5", "must be a list of integers, got 5"),
+        ("null", "must be a list of integers, got None"),
     ],
-    ids=["[4,0,0]", "[4,0,4]", "[4.5,4]", "[true,4]"],
+    ids=["[4,0,0]", "[4,0,4]", "[4.5,4]", "[true,4]", "5", "null"],
 )
 def test_bad_filter_widths_fail_before_output(workspace, tmp_path, capsys, filters, problem):
     root, cfg = workspace
@@ -322,6 +326,51 @@ def test_bad_filter_widths_fail_before_output(workspace, tmp_path, capsys, filte
     assert err.startswith("error: invalid config section 'model': filters ") and problem in err
     assert len(err.strip().splitlines()) == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "setting, problem",
+    [
+        # scipy's own check refused 5.5 without naming the key; a bool ran as
+        # one level or a first-order filter.
+        ("filter.order=5.5", "'filter': order must be an integer, got 5.5"),
+        ("filter.order=true", "'filter': order must be an integer, got True"),
+        ("wavelet.levels=1.5", "'wavelet': levels must be an integer, got 1.5"),
+        ("wavelet.levels=true", "'wavelet': levels must be an integer, got True"),
+    ],
+    ids=["order=5.5", "order=true", "levels=1.5", "levels=true"],
+)
+def test_non_integer_order_and_levels_fail_before_output(workspace, tmp_path, capsys, setting, problem):
+    root, cfg = workspace
+    out = tmp_path / "never"
+    code = main(["preprocess", str(root / "raw" / "manifest.csv"), "--config", str(cfg), "--set", setting, "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: invalid config section {problem}\n"
+    assert not out.exists()
+
+
+_PREPROCESS_AND_LIST_SCIPY_SIGNAL = """
+import sys
+from csi_tcn import cli
+assert cli.main(sys.argv[1:]) == 0
+print(sorted(name for name in sys.modules if name.startswith("scipy.signal")))
+"""
+
+
+def test_preprocess_does_not_import_scipy_signal(workspace, tmp_path):
+    # Importing scipy.signal costs every process about 75 MB and 0.8 s; the
+    # chain repeats its filter design and loads only its compiled kernel.
+    root, cfg = workspace
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = tmp_path / "prep"
+    args = ["preprocess", str(root / "raw" / "manifest.csv"), "--config", str(cfg), "--out", str(out)]
+    proc = subprocess.run(
+        [sys.executable, "-c", _PREPROCESS_AND_LIST_SCIPY_SIGNAL, *args], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+    assert tree_digest(out) == tree_digest(root / "prep")
 
 
 def test_too_few_classes_for_labels_fails_cleanly(workspace, tmp_path, capsys):

@@ -1,11 +1,16 @@
 import math
+import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import signal
 
+from csi_tcn import dsp
 from csi_tcn.csi_data import CsiRecording, amplitude
 from csi_tcn.dsp import (
     FilterSpec,
@@ -156,6 +161,56 @@ class TestApplyFilter:
         y = apply_filter(x, self.coeffs, axis=1)
         assert y.shape == x.shape
         assert np.allclose(y[0, :, 0], y[1, :, 2])
+
+
+class TestMatchesScipySignal:
+    """`dsp` gives the bytes of `scipy.signal.butter` and `lfilter` without
+    importing `scipy.signal`; only the test imports it, as the oracle."""
+
+    CUTOFFS = np.union1d(np.linspace(0.035, 0.965, 100), [0.1, 0.2, 0.3, 0.4])
+
+    @pytest.mark.parametrize("order", range(1, 13))
+    def test_design_is_butter(self, order):
+        assert len(self.CUTOFFS) == 104 and 0.1 in self.CUTOFFS
+        for cutoff in self.CUTOFFS:
+            coeffs = design_butterworth_lowpass(FilterSpec(order=order, cutoff=float(cutoff)))
+            b, a = signal.butter(order, cutoff, btype="low", output="ba")
+            assert coeffs.b.tobytes() == b.tobytes() and coeffs.a.tobytes() == a.tobytes(), cutoff
+
+    @pytest.mark.parametrize(
+        "shape, axis", [((300,), -1), ((300, 7), 0), ((7, 300), 1), ((3, 4, 300), -1)], ids=["1d", "2d_axis0", "2d_axis1", "3d_last"]
+    )
+    def test_apply_filter_is_lfilter(self, shape, axis):
+        x = np.random.default_rng(len(shape) + axis).standard_normal(shape)
+        for order, cutoff in ((5, 0.1), (1, 0.5), (8, 0.4)):
+            coeffs = design_butterworth_lowpass(FilterSpec(order=order, cutoff=cutoff))
+            want = signal.lfilter(coeffs.b, coeffs.a, x, axis=axis)
+            assert apply_filter(x, coeffs, axis=axis).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "imports",
+        [
+            # dsp loads the extension from its file and leaves sys.modules as
+            # it was; scipy.signal imported later gets the same kernel.
+            "from csi_tcn import dsp\n"
+            "assert not [m for m in sys.modules if m.startswith('scipy.signal')]\n"
+            "import scipy.signal",
+            # dsp imported after scipy.signal takes the kernel already loaded
+            # and leaves scipy's entry in sys.modules.
+            "import scipy.signal\nfrom csi_tcn import dsp",
+        ],
+        ids=["dsp_first", "scipy_signal_first"],
+    )
+    def test_one_kernel_whichever_is_imported_first(self, imports):
+        code = (
+            f"import sys\n{imports}\n"
+            "assert sys.modules['scipy.signal._sigtools'] is scipy.signal._sigtools\n"
+            "assert dsp._linear_filter is scipy.signal._sigtools._linear_filter\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(dsp.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestHaarDwt:
