@@ -31,6 +31,7 @@ import numpy as np
 
 from . import tensor as T
 from .dsp import PreprocessedSample
+from .fields import check_fields
 from .seeding import named_rng
 
 __all__ = [
@@ -61,13 +62,13 @@ class AugmentConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if not 0.0 < self.dropout_lambda_max < 1.0:
             raise ValueError("dropout_lambda_max must be in (0, 1)")
         if not 0.0 < self.mix_epsilon_max < 0.5:
             raise ValueError("mix_epsilon_max must be in (0, 0.5)")
         if self.copies_per_method < 1:
             raise ValueError("copies_per_method must be >= 1")
-        self.methods = tuple(AugmentMethod(m) for m in self.methods)
         if not self.methods:
             raise ValueError("methods must name at least one method")
         for i, method in enumerate(self.methods):

@@ -207,6 +207,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_preprocess(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
+    target_np, halvings = cfg.pipeline.target_np, 1 << cfg.wavelet.levels
+    if target_np % halvings != 0:
+        raise ConfigError(f"pipeline.target_np {target_np} is not divisible by 2**wavelet.levels = {halvings}")
     manifest = load_manifest(args.manifest)
     taken: set[str] = set()
     discarded = 0

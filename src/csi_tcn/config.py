@@ -1,8 +1,8 @@
-"""Run configuration: stock defaults, JSON config files, and
-`--set section.key=value` overrides (CLI > file > defaults).
-
-One global seed fans out to named sub-streams; the per-stage seeds (synth,
-augment, train) follow it unless a stage seed is set explicitly.
+"""Run configuration: stock defaults, JSON config files, and `--set
+section.key=value` overrides (CLI > file > defaults). Each setting takes the
+kind of value its field is annotated with, by the one rule in `fields`; any
+other value is refused by its key. One global seed fans out to named
+sub-streams; the per-stage seeds follow it unless set explicitly.
 """
 
 from __future__ import annotations
@@ -10,12 +10,13 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, get_type_hints
 
 from .augment import AugmentConfig
 from .csi_data import SyntheticSpec
 from .dsp import FilterSpec, WaveletSpec
-from .model import ModelConfig, model_config_to_dict
+from .fields import as_plain, check_fields, checked
+from .model import ModelConfig
 from .train import TrainConfig
 
 __all__ = [
@@ -38,6 +39,7 @@ class PipelineConfig:
     target_np: int = 1500  # packet-count gate/trim threshold
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if self.target_np < 1:
             raise ValueError("target_np must be >= 1")
 
@@ -53,16 +55,11 @@ class RunConfig:
     model: ModelConfig = field(default_factory=ModelConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
 
+    def __post_init__(self) -> None:
+        check_fields(self)
 
-_SECTIONS = {
-    "synth": SyntheticSpec,
-    "filter": FilterSpec,
-    "wavelet": WaveletSpec,
-    "pipeline": PipelineConfig,
-    "augment": AugmentConfig,
-    "model": ModelConfig,
-    "train": TrainConfig,
-}
+
+_SECTIONS = {name: cls for name, cls in get_type_hints(RunConfig).items() if name != "seed"}
 
 
 def _parse_set_value(raw: str):
@@ -98,16 +95,12 @@ def _build_section(name: str, cls, provided: dict):
             raise ConfigError(f"unknown config key: {name}.{key}")
     try:
         return cls(**provided)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"invalid config section {name!r}: {exc}") from exc
 
 
-def _check_seed(key: str, value):
-    """Seeds must be non-negative integers: a float, a bool, a string or a
-    negative number is refused here rather than truncated, read as 0/1 or
-    left to fail inside a stage."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
+def _check_seed(key: str, value) -> int:
+    value = checked(key, int, value)
     if value < 0:
         raise ConfigError(f"{key} must be non-negative, got {value}")
     return value
@@ -138,9 +131,9 @@ def load_run_config(
     global_seed = _check_seed("seed", seed if seed is not None else raw.get("seed", 0))
     sections = {}
     for name, cls in _SECTIONS.items():
-        provided = dict(raw.get(name, {}))
-        if not isinstance(provided, dict):
+        if not isinstance(raw.get(name, {}), dict):
             raise ConfigError(f"config section {name!r} must be an object")
+        provided = dict(raw.get(name, {}))
         # Stage seeds follow the global seed unless pinned explicitly.
         if "seed" in {f.name for f in dataclasses.fields(cls)}:
             provided["seed"] = _check_seed(f"{name}.seed", provided.get("seed", global_seed))
@@ -149,14 +142,4 @@ def load_run_config(
 
 
 def run_config_to_dict(cfg: RunConfig) -> dict:
-    out: dict = {"seed": cfg.seed}
-    for name in _SECTIONS:
-        value = getattr(cfg, name)
-        if name == "model":
-            out[name] = model_config_to_dict(value)
-        else:
-            d = dataclasses.asdict(value)
-            if name == "augment":
-                d["methods"] = [m.value for m in value.methods]
-            out[name] = d
-    return out
+    return as_plain(cfg)

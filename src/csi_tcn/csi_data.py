@@ -32,6 +32,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import tensor as T
+from .fields import check_fields
 from .seeding import named_rng
 
 __all__ = [
@@ -336,11 +337,10 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if not 2 <= self.classes <= N_CLASSES:
             raise ValueError(f"classes must be in [2, {N_CLASSES}], got {self.classes}")
-        if self.samples_per_class < 1:
-            raise ValueError("samples_per_class must be >= 1")
-        for name in ("n_t", "n_r", "n_p", "n_s"):
+        for name in ("samples_per_class", "n_t", "n_r", "n_p", "n_s"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         for name in ("mod_depth", "profile_depth", "base_amplitude", "noise_amp", "scale_jitter", "phase_jitter"):

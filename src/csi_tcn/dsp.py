@@ -27,6 +27,7 @@ calls, loaded from its file once when this module is imported.
 
 from __future__ import annotations
 
+import decimal
 import functools
 import importlib.machinery
 import importlib.util
@@ -40,6 +41,7 @@ import numpy as np
 import scipy
 
 from .csi_data import CsiRecording, _magnitude_into, read_container, write_container
+from .fields import check_fields
 
 __all__ = [
     "FilterSpec",
@@ -83,12 +85,6 @@ def _load_linear_filter():
 _linear_filter = _load_linear_filter()
 
 
-def _check_int(name: str, value) -> None:
-    # A bool would run as 0/1 and a float would fail deep inside a stage.
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
 @dataclass
 class FilterSpec:
     """Low-pass design parameters; `cutoff` is a fraction of Nyquist."""
@@ -97,7 +93,7 @@ class FilterSpec:
     cutoff: float = 0.1
 
     def __post_init__(self) -> None:
-        _check_int("order", self.order)
+        check_fields(self)
         if self.order < 1:
             raise ValueError(f"order must be >= 1, got {self.order}")
         if not 0.0 < self.cutoff < 1.0:
@@ -114,17 +110,21 @@ class IirCoefficients:
     def __post_init__(self) -> None:
         self.b = np.asarray(self.b, dtype=np.float64)
         self.a = np.asarray(self.a, dtype=np.float64)
-        if self.a.ndim != 1 or self.b.ndim != 1 or len(self.a) == 0:
-            raise ValueError("coefficients must be non-empty 1-D sequences")
+        if self.a.ndim != 1 or self.b.ndim != 1 or len(self.a) == 0 or not np.all(np.isfinite(self.a)):
+            raise ValueError("coefficients must be non-empty 1-D sequences, the denominator finite")
         if self.a[0] == 0.0:
             raise ValueError("leading denominator coefficient must be nonzero")
         if self.a[0] != 1.0:
             self.b = self.b / self.a[0]
             self.a = self.a / self.a[0]
-        if len(self.a) > 1:
-            poles = np.roots(self.a)
-            if np.any(np.abs(poles) >= 1.0):
-                raise ValueError("unstable filter: pole on or outside the unit circle")
+        # Schur-Cohn step-down at 60 digits: np.roots is ill-conditioned at high order.
+        with decimal.localcontext(decimal.Context(prec=60)):
+            a = [decimal.Decimal(x) for x in self.a]
+            while len(a) > 1 and abs(a[-1]) < abs(a[0]):
+                k = a[-1] / a[0]  # the reflection coefficient, |k| < 1 at every step iff stable
+                a = [x - k * y for x, y in zip(a[:-1], a[:0:-1])]
+        if len(a) > 1:
+            raise ValueError("unstable filter: pole on or outside the unit circle")
 
     @property
     def dc_gain(self) -> float:
@@ -138,7 +138,7 @@ class WaveletSpec:
     levels: int = 2
 
     def __post_init__(self) -> None:
-        _check_int("levels", self.levels)
+        check_fields(self)
         if self.levels < 1:
             raise ValueError(f"levels must be >= 1, got {self.levels}")
 

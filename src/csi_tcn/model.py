@@ -27,6 +27,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import tensor as T
+from .fields import as_plain, check_fields
 from .tensor import Tensor
 
 __all__ = [
@@ -67,24 +68,16 @@ class ModelConfig:
     in_features: int = 30
 
     def __post_init__(self) -> None:
-        if not isinstance(self.filters, (list, tuple)):
-            raise ValueError(f"filters must be a list of integers, got {self.filters!r}")
-        filters = tuple(self.filters)
-        if any(isinstance(f, bool) or not isinstance(f, (int, np.integer)) for f in filters):
-            raise ValueError(f"filters {filters} must all be integers")
-        self.filters = tuple(int(f) for f in filters)
-        self.attention_placement = AttentionPlacement(self.attention_placement)
+        check_fields(self)
         if any(f < 1 for f in self.filters):
             raise ValueError(f"filters {self.filters} must all be >= 1")
         if self.attention_placement is AttentionPlacement.EVERY_LAYER and not self.filters:
             raise ValueError("attention_placement every_layer needs at least one filter block")
-        if self.kernel < 1:
-            raise ValueError("kernel must be >= 1")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError("dropout must be in [0, 1)")
-        for name in ("d_k", "n_classes", "in_features"):
+        for name in ("kernel", "d_k", "n_classes", "in_features"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ValueError("dropout must be in [0, 1)")
 
 
 def _dilations(cfg: ModelConfig) -> list[int]:
@@ -93,10 +86,7 @@ def _dilations(cfg: ModelConfig) -> list[int]:
 
 
 def model_config_to_dict(cfg: ModelConfig) -> dict:
-    d = dataclasses.asdict(cfg)
-    d["filters"] = list(cfg.filters)
-    d["attention_placement"] = cfg.attention_placement.value
-    return d
+    return as_plain(cfg)
 
 
 def model_config_from_dict(d: dict) -> ModelConfig:

@@ -33,13 +33,8 @@ import numpy as np
 
 from .augment import AugmentConfig, expand_dataset
 from .dsp import PreprocessedSample
-from .model import (
-    AttentionPlacement,
-    ModelConfig,
-    ModelParams,
-    init_model,
-    model_forward,
-)
+from .fields import check_fields
+from .model import ModelConfig, ModelParams, init_model, model_forward
 from .seeding import named_rng
 from .tensor import Tensor, cross_entropy_mean
 
@@ -136,6 +131,7 @@ class TrainConfig:
     k_folds: int = 10
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.epochs < 0:
@@ -470,11 +466,11 @@ def _sweep_point(
         if sweep == "dropout":
             return dataclasses.replace(model_cfg, dropout=float(value)), None
         if sweep == "attention":
-            return dataclasses.replace(model_cfg, attention_placement=AttentionPlacement(value)), None
+            return dataclasses.replace(model_cfg, attention_placement=value), None
         if str(value) == "none":
             return model_cfg, None
         base = augment_cfg or AugmentConfig(seed=train_cfg.seed)
-        return model_cfg, dataclasses.replace(base, methods=tuple(str(value).split("+")))
+        return model_cfg, dataclasses.replace(base, methods=str(value).split("+"))
     except ValueError as exc:
         raise ValueError(f"{sweep} sweep value {value!r}: {exc}") from exc
 

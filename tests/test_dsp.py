@@ -97,6 +97,28 @@ class TestButterworth:
         with pytest.raises(ValueError, match="unstable"):
             IirCoefficients(b=np.array([1.0]), a=np.array([1.0, -1.5]))
 
+    @pytest.mark.parametrize("order", [8, 9, 10, 11, 12])
+    @pytest.mark.parametrize("cutoff", [0.005, 0.01, 0.015, 0.025, 0.99])
+    def test_accepted_exactly_when_the_recursion_decays(self, order, cutoff):
+        # High orders at extreme cutoffs, where the float denominator's roots
+        # are ill-conditioned: np.roots refused order 10 at cutoff 0.015,
+        # whose impulse response decays, and the design's own poles (all
+        # inside the unit circle) would pass ones whose response overflows.
+        b, a = signal.butter(order, cutoff, btype="low", output="ba")
+        impulse = np.zeros(200_000)
+        impulse[0] = 1.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            tail = np.abs(signal.lfilter(b, a, impulse)[-2000:]).max()
+        decays = bool(tail < 1e-6)  # False for nan
+        try:
+            IirCoefficients(b=b, a=a)
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == decays
+        if (order, cutoff) == (10, 0.015):
+            assert accepted
+
     def test_cutoff_out_of_range(self):
         with pytest.raises(ValueError):
             FilterSpec(order=5, cutoff=1.5)
