@@ -211,13 +211,14 @@ def augmented(
 def expand_dataset(
     dataset: Sequence[PreprocessedSample], cfg: AugmentConfig
 ) -> list[PreprocessedSample]:
-    """Originals followed by `augmented`'s outputs, each labelled like its source."""
-    for s in dataset:
-        if s.label is None:
-            raise ValueError("expand_dataset requires labelled samples")
-    grids = [s.data for s in dataset]
-    labels = [s.label for s in dataset]
-    return list(dataset) + [
+    """Originals followed by `augmented`'s outputs, each labelled like its
+    source. `dataset` is asked for each sample once."""
+    originals = list(dataset)
+    labels = [s.label for s in originals]
+    if None in labels:
+        raise ValueError("expand_dataset requires labelled samples")
+    grids = [s.data for s in originals]
+    return originals + [
         PreprocessedSample(data=g, label=labels[i])
         for (_, _, i), g in augmented(grids, labels, cfg)
     ]

@@ -9,12 +9,15 @@ go to a separate `timings.csv`, which is the one intentionally
 non-reproducible artifact. Every command that writes `--out` writes
 through a staging directory (`_staged`), so a failed run leaves `--out` as
 it was; `train`, `eval` and `ablate` stage their files only once their work
-has returned.
+has returned. `train`, `eval` and `ablate` read each preprocessed sample
+from its file when a shape check or a batch asks for it and keep none
+(`_SampleFiles`), so they hold one batch of samples, not the dataset.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections.abc
 import contextlib
 import dataclasses
 import itertools
@@ -22,7 +25,7 @@ import os
 import shutil
 import sys
 import tempfile
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from . import __version__
 from .augment import augmented
@@ -30,6 +33,7 @@ from .config import ConfigError, RunConfig, load_run_config, run_config_to_dict
 from .csi_data import (
     CsiFormatError,
     DatasetManifest,
+    ManifestEntry,
     generate_synthetic,
     gate_and_trim,
     load_manifest,
@@ -37,7 +41,7 @@ from .csi_data import (
     save_manifest,
     save_recording,
 )
-from .dsp import PreprocessedSample, load_sample, preprocess, save_sample
+from .dsp import PreprocessedSample, _lowpass, load_sample, preprocess, save_sample
 from .gradchecks import run_battery
 from .model import load_checkpoint, model_config_to_dict, save_checkpoint
 from .train import (
@@ -137,8 +141,30 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     return load_run_config(args.config, args.overrides, args.seed)
 
 
-def _load_samples(manifest: DatasetManifest):
-    return [load_sample(e.path, label=e.label) for e in manifest]
+class _SampleFiles(collections.abc.Sequence):
+    """The samples of manifest entries, read from their files on each access
+    and not kept, so a command holds only the samples it is using.
+
+    The first read of each file records its shape; a later read of another
+    shape (the file changed after the shape check) raises ValueError naming
+    the file and both shapes."""
+
+    def __init__(self, entries: Sequence[ManifestEntry]):
+        self._entries = entries
+        self._shapes = [None] * len(entries)
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def __getitem__(self, i: int) -> PreprocessedSample:
+        entry = self._entries[i]
+        sample = load_sample(entry.path, label=entry.label)
+        shape, checked = sample.data.shape, self._shapes[i]
+        if checked is None:
+            self._shapes[i] = shape
+        elif shape != checked:
+            raise ValueError(f"{entry.path} changed after its shape check: shape {shape}, was {checked}")
+        return sample
 
 
 def _unique_stem(path: str, taken: set[str]) -> str:
@@ -210,6 +236,7 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
     target_np, halvings = cfg.pipeline.target_np, 1 << cfg.wavelet.levels
     if target_np % halvings != 0:
         raise ConfigError(f"pipeline.target_np {target_np} is not divisible by 2**wavelet.levels = {halvings}")
+    _lowpass(cfg.filter.order, cfg.filter.cutoff)  # designed, or refused by its keys, before any recording is read
     manifest = load_manifest(args.manifest)
     taken: set[str] = set()
     discarded = 0
@@ -239,7 +266,7 @@ def cmd_augment(args: argparse.Namespace) -> int:
     base = list(load_manifest(args.manifest))
     labels = [e.label for e in base]
     if args.stage == "post":
-        grids = [s.data for s in _load_samples(base)]
+        grids = [s.data for s in _SampleFiles(base)]
         suffix = ".csp"
 
         def write(i, grid, path):
@@ -288,7 +315,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     bad = next((e.label for e in manifest if not 0 <= e.label < n_classes), None)
     if bad is not None:
         raise ValueError(f"label {bad} outside the model's classes [0, {n_classes})")
-    samples = _load_samples(manifest)
+    samples = _SampleFiles(manifest.entries)
 
     if args.kfold is not None:
         per_fold, mean_accuracy = kfold_evaluate(samples, cfg.model, cfg.train, k=args.kfold)
@@ -338,8 +365,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    manifest = load_manifest(args.manifest)
-    samples = _load_samples(manifest)
+    samples = _SampleFiles(load_manifest(args.manifest).entries)
     params, model_cfg = load_checkpoint(args.checkpoint)
     accuracy, loss, confusion = evaluate(params, model_cfg, samples, cfg.train.batch_size)
     with _staged(args.out) as stage:
@@ -378,8 +404,7 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
 
 def cmd_ablate(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    manifest = load_manifest(args.manifest)
-    samples = _load_samples(manifest)
+    samples = _SampleFiles(load_manifest(args.manifest).entries)
     values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not values:
         raise ValueError("--values is empty")

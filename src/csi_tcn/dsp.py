@@ -195,16 +195,30 @@ def design_butterworth_lowpass(spec: FilterSpec) -> IirCoefficients:
     so the coefficients are its bytes: the analog prototype's poles on the
     left half of the unit circle, the cutoff pre-warped to wo = 4 tan(pi
     cutoff / 2), the poles scaled by wo and mapped through the bilinear
-    transform with 2 fs = 4, and the N zeros at z = -1."""
+    transform with 2 fs = 4, and the N zeros at z = -1.
+
+    A design whose coefficients overflow float64, or whose filter is
+    unstable, raises ValueError naming `filter.order` and `filter.cutoff`."""
     n = spec.order
-    m = np.arange(-n + 1, n, 2, dtype=np.float64)
-    wo = float(4.0 * np.tan(np.pi * np.asarray(spec.cutoff, dtype=np.float64) / 2.0))
-    p = wo * -np.exp(1j * np.pi * m / (2 * n))
-    k = wo**n * np.real(1.0 / np.prod(4.0 - p))
-    b = k * _poly(-np.ones(n))
-    # The poles come in conjugate pairs, so the expansion is real.
-    a = np.real(_poly((4.0 + p) / (4.0 - p)))
-    return IirCoefficients(b=b, a=a)
+    keys = f"filter.order {n} with filter.cutoff {spec.cutoff}"
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = np.arange(-n + 1, n, 2, dtype=np.float64)
+        wo = float(4.0 * np.tan(np.pi * np.asarray(spec.cutoff, dtype=np.float64) / 2.0))
+        p = wo * -np.exp(1j * np.pi * m / (2 * n))
+        try:
+            gain = wo**n
+        except OverflowError:  # Python floats raise where numpy gives inf
+            gain = np.inf
+        k = gain * np.real(1.0 / np.prod(4.0 - p))
+        b = k * _poly(-np.ones(n))
+        # The poles come in conjugate pairs, so the expansion is real.
+        a = np.real(_poly((4.0 + p) / (4.0 - p)))
+    if not (np.all(np.isfinite(b)) and np.all(np.isfinite(a))):
+        raise ValueError(f"{keys}: the design overflows float64")
+    try:
+        return IirCoefficients(b=b, a=a)
+    except ValueError as exc:
+        raise ValueError(f"{keys}: {exc}") from None
 
 
 def _poly(roots: np.ndarray) -> np.ndarray:

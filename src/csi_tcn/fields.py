@@ -5,6 +5,7 @@ or its value; a `tuple[X, ...]` field a list or tuple, entry by entry."""
 
 import dataclasses
 import enum
+import functools
 import numbers
 import typing
 
@@ -43,9 +44,15 @@ def checked(name: str, tp, value):
     return entries
 
 
+@functools.cache
+def _hints(cls) -> dict:
+    # get_type_hints evaluates every string annotation again on each call.
+    return typing.get_type_hints(cls)
+
+
 def check_fields(obj) -> None:
     """Hold each field of the dataclass `obj` as the rule reads it."""
-    for name, tp in typing.get_type_hints(type(obj)).items():
+    for name, tp in _hints(type(obj)).items():
         setattr(obj, name, checked(name, tp, getattr(obj, name)))
 
 

@@ -19,6 +19,7 @@ thread count:
 
 from __future__ import annotations
 
+import collections.abc
 import contextlib
 import ctypes
 import dataclasses
@@ -210,19 +211,37 @@ class Metrics:
         return self.val_accuracy[-1]
 
 
-def _labels(dataset: Sequence[PreprocessedSample]) -> np.ndarray:
-    """The labels of a non-empty, fully labelled dataset whose samples all
-    share one shape, so that any batch of it stacks. Reads no sample data."""
+def _labels(dataset: Sequence[PreprocessedSample]) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The labels and the one sample shape of a non-empty, fully labelled
+    dataset whose samples all share that shape, so that any batch of it
+    stacks. Asks for each sample once."""
     if not dataset:
         raise ValueError("dataset is empty")
-    labels = [s.label for s in dataset]
+    labels, shapes = [], []
+    for s in dataset:
+        labels.append(s.label)
+        shapes.append(s.data.shape)
     if None in labels:
         raise ValueError("all samples must be labelled")
-    shape = dataset[0].data.shape
-    for s in dataset:
-        if s.data.shape != shape:
-            raise ValueError(f"inconsistent sample shapes: {s.data.shape} vs {shape}")
-    return np.array(labels, dtype=np.int64)
+    odd = next((shape for shape in shapes if shape != shapes[0]), None)
+    if odd is not None:
+        raise ValueError(f"inconsistent sample shapes: {odd} vs {shapes[0]}")
+    return np.array(labels, dtype=np.int64), shapes[0]
+
+
+class _Subset(collections.abc.Sequence):
+    """The items of `dataset` at `idx`, in that order; each is asked of
+    `dataset` on every access, so nothing is copied or held."""
+
+    def __init__(self, dataset: Sequence[PreprocessedSample], idx: np.ndarray):
+        self._dataset = dataset
+        self._idx = idx
+
+    def __len__(self) -> int:
+        return len(self._idx)
+
+    def __getitem__(self, i: int) -> PreprocessedSample:
+        return self._dataset[self._idx[i]]
 
 
 def _batch(dataset: Sequence[PreprocessedSample], idx) -> np.ndarray:
@@ -269,7 +288,7 @@ def evaluate(
 
     Batches are stacked from the sample list in order, one at a time, and
     the forwards build no graph (see `_eval_arrays`)."""
-    labels = _labels(dataset)
+    labels, _ = _labels(dataset)
     with _single_threaded_blas():
         return _eval_arrays(params, model_cfg, dataset, labels, batch_size)
 
@@ -293,20 +312,20 @@ def train(
     in either split, or a feature width other than `model_cfg.in_features`
     raise ValueError before the first forward.
 
-    Memory: no split is copied. Each training batch is stacked from the
-    sample list in the epoch's shuffled order, and each validation batch in
-    list order by `_eval_arrays`, which records no graph. Beyond the loaded
-    samples, training holds one batch and its graph at a time.
+    Memory: samples are asked of the sequences when a batch needs them and
+    are not kept. The shape checks ask for each sample once; then each
+    training batch is stacked in the epoch's shuffled order, and each
+    validation batch in sequence order by `_eval_arrays`, which records no
+    graph. A sequence that reads its samples from files (as the CLI's does)
+    is thus read once per sample per use, and training holds one batch and
+    its graph at a time, not the dataset.
     """
-    labels = _labels(dataset)
+    labels, shape = _labels(dataset)
     if len(np.unique(labels)) < 2:
         raise ValueError("training requires at least 2 classes")
-    val_labels = _labels(val_dataset) if val_dataset else None
-    shape = dataset[0].data.shape
-    if val_labels is not None and val_dataset[0].data.shape != shape:
-        raise ValueError(
-            f"validation sample shape {val_dataset[0].data.shape} != training sample shape {shape}"
-        )
+    val_labels, val_shape = _labels(val_dataset) if val_dataset else (None, shape)
+    if val_shape != shape:
+        raise ValueError(f"validation sample shape {val_shape} != training sample shape {shape}")
     if shape[-1] != model_cfg.in_features:
         raise ValueError(f"input feature width {shape[-1]} != configured {model_cfg.in_features}")
 
@@ -399,12 +418,14 @@ def kfold_splits(labels: Sequence[int], k: int, seed: int) -> list[tuple[np.ndar
 
 def holdout_split(
     dataset: Sequence[PreprocessedSample], train_cfg: TrainConfig
-) -> tuple[list[PreprocessedSample], list[PreprocessedSample]]:
+) -> tuple[Sequence[PreprocessedSample], Sequence[PreprocessedSample]]:
     """(training split, validation split): fold 0 of `kfold_splits` over
     `train_cfg.k_folds` folds, which raises, like `kfold_evaluate`, when a
-    training split misses a class."""
-    train_idx, val_idx = kfold_splits(_labels(dataset), train_cfg.k_folds, train_cfg.seed)[0]
-    return [dataset[i] for i in train_idx], [dataset[i] for i in val_idx]
+    training split misses a class. The splits are index views of `dataset`
+    that copy no sample: each item is asked of `dataset` when it is used."""
+    labels, _ = _labels(dataset)
+    train_idx, val_idx = kfold_splits(labels, train_cfg.k_folds, train_cfg.seed)[0]
+    return _Subset(dataset, train_idx), _Subset(dataset, val_idx)
 
 
 def kfold_evaluate(
@@ -416,8 +437,10 @@ def kfold_evaluate(
     """Train k models, each validated on its held-out fold; returns per-fold
     metrics and the arithmetic mean of the final validation accuracies.
     Every fold is split and checked before the first one trains: each
-    training split holds every class and no validation split is empty."""
-    labels = _labels(dataset)
+    training split holds every class and no validation split is empty.
+    Each fold trains on index views of `dataset`, which copy no sample, so
+    samples are asked of `dataset` batch by batch (see `train`)."""
+    labels, _ = _labels(dataset)
     splits = kfold_splits(labels, k, train_cfg.seed)
     for fold, (_, val_idx) in enumerate(splits):
         if not len(val_idx):
@@ -426,9 +449,7 @@ def kfold_evaluate(
             )
     per_fold: list[Metrics] = []
     for train_idx, val_idx in splits:
-        train_set = [dataset[i] for i in train_idx]
-        val_set = [dataset[i] for i in val_idx]
-        _, metrics = train(train_set, model_cfg, train_cfg, val_set)
+        _, metrics = train(_Subset(dataset, train_idx), model_cfg, train_cfg, _Subset(dataset, val_idx))
         per_fold.append(metrics)
     mean_accuracy = float(np.mean([m.final_val_accuracy for m in per_fold]))
     return per_fold, mean_accuracy

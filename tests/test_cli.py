@@ -1,16 +1,21 @@
+import dataclasses
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from csi_tcn import cli
 from csi_tcn import train as train_mod
 from csi_tcn.cli import main
 from csi_tcn.config import RunConfig, load_run_config, run_config_to_dict
-from csi_tcn.csi_data import DatasetManifest, load_manifest, save_manifest
+from csi_tcn.csi_data import DatasetManifest, ManifestEntry, load_manifest, save_manifest
+from csi_tcn.dsp import PreprocessedSample, load_sample, save_sample
 
 CONFIG = {
     "seed": 7,
@@ -191,6 +196,109 @@ def test_kfold_train(workspace, tmp_path):
     assert all((out / f"fold{i}_metrics.csv").exists() for i in range(3))
 
 
+def test_kfold_from_files_equals_kfold_evaluate_over_a_list(workspace, tmp_path):
+    # The CLI reads each sample from its file when a batch needs it; the
+    # model must see the bytes, in the order, of the samples held in memory.
+    root, cfg = workspace
+    manifest = root / "prep" / "manifest.csv"
+    out = tmp_path / "kfold"
+    assert main(["train", str(manifest), "--config", str(cfg), "--kfold", "3", "--out", str(out)]) == 0
+    run_cfg = load_run_config(str(cfg))
+    samples = [load_sample(e.path, label=e.label) for e in load_manifest(manifest)]
+    per_fold, mean_accuracy = train_mod.kfold_evaluate(samples, run_cfg.model, run_cfg.train, k=3)
+    for fold, metrics in enumerate(per_fold):
+        train_mod.write_metrics_csv(metrics, tmp_path / "listed.csv")
+        assert (tmp_path / "listed.csv").read_bytes() == (out / f"fold{fold}_metrics.csv").read_bytes()
+    assert json.loads((out / "summary.json").read_text())["mean_val_accuracy"] == mean_accuracy
+
+
+def _copy_prep(root, tmp_path) -> tuple[str, list]:
+    """A copy of the workspace's preprocessed samples and their manifest
+    under tmp_path, so a test may change the files."""
+    entries = load_manifest(root / "prep" / "manifest.csv").entries
+    copies = []
+    for e in entries:
+        path = str(tmp_path / os.path.basename(e.path))
+        shutil.copyfile(e.path, path)
+        copies.append(dataclasses.replace(e, path=path))
+    manifest = str(tmp_path / "manifest.csv")
+    save_manifest(DatasetManifest(entries=copies), manifest)
+    return manifest, copies
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["train"], ["train", "--kfold", "2"], ["eval", "--checkpoint", None]],
+    ids=["holdout", "kfold", "eval"],
+)
+def test_sample_changed_after_the_shape_check_fails_cleanly(workspace, checkpoint, tmp_path, monkeypatch, capsys, command):
+    root, cfg = workspace
+    manifest, entries = _copy_prep(root, tmp_path)
+    victim = entries[-1].path
+    before = load_sample(victim)
+    narrow = PreprocessedSample(before.data[:, 1:], label=before.label)
+    real_load = cli.load_sample
+    reads = []
+
+    def load_then_change(path, label=None):
+        # Once every sample has been read by the first shape check, shrink
+        # the last one on disk.
+        reads.append(path)
+        if len(reads) == len(entries) + 1:
+            save_sample(narrow, victim)
+        return real_load(path, label=label)
+
+    monkeypatch.setattr(cli, "load_sample", load_then_change)
+    argv = [command[0], manifest, *[checkpoint if a is None else a for a in command[1:]]]
+    out = tmp_path / "never"
+    assert main([*argv, "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {victim} changed after its shape check: shape {narrow.data.shape}, was {before.data.shape}\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kfold", [[], ["--kfold", "2"]], ids=["holdout", "kfold"])
+def test_train_from_files_peaks_near_one_step_not_near_the_dataset(tmp_path, kfold):
+    # Many samples in small batches: the samples total many times one
+    # step's whole traced peak, so holding the dataset would show.
+    model = {"filters": [6, 6], "kernel": 3, "dropout": 0.1, "d_k": 12, "n_classes": 3, "in_features": 12}
+    train_cfg = {"batch_size": 2, "epochs": 1, "seed": 0}
+    rng = np.random.default_rng(0)
+    entries, samples = [], []
+    for i in range(240):
+        sample = PreprocessedSample(rng.uniform(-1.0, 1.0, (6, 256, 12)), label=i % 3)
+        path = str(tmp_path / f"s{i:03d}.csp")
+        save_sample(sample, path)
+        entries.append(ManifestEntry(path=path, label=i % 3, pair_id=0, trial_id=i))
+        samples.append(sample)
+    manifest = str(tmp_path / "manifest.csv")
+    save_manifest(DatasetManifest(entries=entries), manifest)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"model": model, "train": train_cfg}))
+    run_cfg = load_run_config(str(cfg))
+
+    def traced_peak(fn, *args) -> int:
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    step_peak = traced_peak(train_mod.train, samples[:2], run_cfg.model, run_cfg.train)
+    assert sum(s.data.nbytes for s in samples) > 5 * step_peak
+    del samples
+    argv = ["train", manifest, "--config", str(cfg), *kfold, "--out", str(tmp_path / "run")]
+
+    def run_cli():
+        assert main(argv) == 0
+
+    peak = traced_peak(run_cli)
+    assert peak < 1.5 * step_peak, (peak, step_peak)
+
+
 def test_augment_post_and_pre(workspace, tmp_path):
     root, cfg = workspace
     post = tmp_path / "post"
@@ -335,6 +443,28 @@ def test_indivisible_packet_count_fails_before_any_recording_is_read(workspace, 
     argv = ["preprocess", str(root / "raw" / "manifest.csv"), "--config", str(cfg), "--set", "pipeline.target_np=250"]
     assert main([*argv, "--out", str(out)]) == 1
     assert capsys.readouterr().err == "error: pipeline.target_np 250 is not divisible by 2**wavelet.levels = 4\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "order, cutoff, problem",
+    [
+        (2000, 0.99, "the design overflows float64"),
+        (2000, 0.1, "the design overflows float64"),
+        (12, 0.005, "unstable filter: pole on or outside the unit circle"),
+    ],
+    ids=["overflow", "non_finite", "unstable"],
+)
+def test_unusable_filter_fails_by_its_keys_before_any_recording_is_read(
+    workspace, tmp_path, monkeypatch, capsys, order, cutoff, problem
+):
+    root, cfg = workspace
+    monkeypatch.setattr(cli, "load_recording", lambda path: pytest.fail("read a recording"))
+    out = tmp_path / "never"
+    argv = ["preprocess", str(root / "raw" / "manifest.csv"), "--config", str(cfg)]
+    overrides = ["--set", f"filter.order={order}", "--set", f"filter.cutoff={cutoff}"]
+    assert main([*argv, *overrides, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: filter.order {order} with filter.cutoff {cutoff}: {problem}\n"
     assert not out.exists()
 
 
