@@ -19,6 +19,11 @@ again for the next one; only a fresh int8 grid per output leaves the
 generator. Float outputs stay fresh arrays, because callers such as
 `expand_dataset` keep every one. Every element's float operations keep their
 order, so outputs do not depend on the worker count.
+
+`augmented` asks its input sequence for a grid only when an output needs it
+(the output's source and donors) and keeps none after that output, so the
+same expander serves an in-memory list, as `expand_dataset` passes, and a
+sequence that reads each grid from its file, as `csi-tcn augment` passes.
 """
 
 from __future__ import annotations
@@ -166,29 +171,42 @@ def augmented(
 
     MIX_OTHER draws both donors from the inputs with a different label,
     MIX_SAME from the other inputs with the source's label; each donor pool
-    keeps input order. All grids must share one shape (gate/trim first).
+    keeps input order. All grids must share one shape (gate/trim first); a
+    grid of another shape raises ValueError when an output reaches it.
+
+    `grids` is asked for `grids[0]` once, for the shape and the domain, and
+    otherwise for an input only while an output that needs it is made; no
+    input is kept beyond that output. So a sequence that reads each grid
+    from its file on access has at most three inputs in memory at once, the
+    source and two donors of one mix.
     """
     if not grids:
         return
-    if any(g.shape != grids[0].shape for g in grids):
-        raise ValueError("inputs must share one shape; gate/trim before augmenting")
-    raw = grids[0].dtype == np.int8
+    first = grids[0]
+    shape, raw = first.shape, first.dtype == np.int8
+    del first
     stream, kind = ("augment_raw", "recordings") if raw else ("augment", "samples")
     # Float outputs are kept by callers, so only raw mixing reuses `out`.
-    out = np.empty(grids[0].shape) if raw else None
-    scratch = np.empty(grids[0].shape)
+    out = np.empty(shape) if raw else None
+    scratch = np.empty(shape)
     same: dict[int, list[int]] = {}
     for i, label in enumerate(labels):
         same.setdefault(label, []).append(i)
     other = {lb: [j for j, l in enumerate(labels) if l != lb] for lb in same}
     rank = {j: p for pool in same.values() for p, j in enumerate(pool)}
 
+    def grid_of(i: int) -> np.ndarray:
+        grid = grids[i]
+        if grid.shape != shape:
+            raise ValueError("inputs must share one shape; gate/trim before augmenting")
+        return grid
+
     for m_idx, method in enumerate(cfg.methods):
         for copy in range(cfg.copies_per_method):
             for i, label in enumerate(labels):
                 rng = named_rng(cfg.seed, stream, m_idx, copy, i)
                 if method is AugmentMethod.DROPOUT:
-                    grid = _dropout(grids[i], rng, cfg.dropout_lambda_max)
+                    grid = _dropout(grid_of(i), rng, cfg.dropout_lambda_max)
                 else:
                     same_label = method is AugmentMethod.MIX_SAME
                     pool = same[label] if same_label else other[label]
@@ -202,9 +220,9 @@ def augmented(
                     if same_label:  # skip the source's own slot in its pool
                         ks = [k + (k >= rank[i]) for k in ks]
                     eps1, eps2, eps3 = rng.uniform(0.0, cfg.mix_epsilon_max, size=3)
-                    b, c = (grids[pool[k]] for k in ks)
-                    quantized = np.empty(grids[i].shape, dtype=np.int8) if raw else None
-                    grid = _mix(grids[i], b, c, eps1, eps2, eps3, out, scratch, quantized)
+                    quantized = np.empty(shape, dtype=np.int8) if raw else None
+                    donors = (grid_of(pool[k]) for k in ks)
+                    grid = _mix(grid_of(i), *donors, eps1, eps2, eps3, out, scratch, quantized)
                 yield (method, copy, i), grid
 
 

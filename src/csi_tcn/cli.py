@@ -12,6 +12,10 @@ it was; `train`, `eval` and `ablate` stage their files only once their work
 has returned. `train`, `eval` and `ablate` read each preprocessed sample
 from its file when a shape check or a batch asks for it and keep none
 (`_SampleFiles`), so they hold one batch of samples, not the dataset.
+`augment` checks every input's shape from its file header alone, then reads
+each input, sample or raw recording, from its file when an output needs it
+and keeps none (`_SampleFiles`, `_Grids`), and writes each output as it is
+made, so it holds at most three inputs and one output at a time.
 """
 
 from __future__ import annotations
@@ -27,21 +31,25 @@ import sys
 import tempfile
 from typing import Iterator, Optional, Sequence
 
+import numpy as np
+
 from . import __version__
 from .augment import augmented
 from .config import ConfigError, RunConfig, load_run_config, run_config_to_dict
 from .csi_data import (
     CsiFormatError,
+    CsiRecording,
     DatasetManifest,
     ManifestEntry,
     generate_synthetic,
     gate_and_trim,
     load_manifest,
     load_recording,
+    load_recording_dims,
     save_manifest,
     save_recording,
 )
-from .dsp import PreprocessedSample, _lowpass, load_sample, preprocess, save_sample
+from .dsp import PreprocessedSample, _lowpass, load_sample, load_sample_shape, preprocess, save_sample
 from .gradchecks import run_battery
 from .model import load_checkpoint, model_config_to_dict, save_checkpoint
 from .train import (
@@ -142,29 +150,70 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
 
 
 class _SampleFiles(collections.abc.Sequence):
-    """The samples of manifest entries, read from their files on each access
-    and not kept, so a command holds only the samples it is using.
+    """The preprocessed samples of manifest entries, or with `raw` their raw
+    recordings, read from their files on each access and not kept, so a
+    command holds only the ones it is using.
 
-    The first read of each file records its shape; a later read of another
-    shape (the file changed after the shape check) raises ValueError naming
-    the file and both shapes."""
+    Each file's grid shape is recorded by `headers`, which reads no payload,
+    or else by the file's first read; a later read of another shape (the
+    file changed after the shape check) raises ValueError naming the file
+    and both shapes."""
 
-    def __init__(self, entries: Sequence[ManifestEntry]):
+    def __init__(self, entries: Sequence[ManifestEntry], raw: bool = False):
         self._entries = entries
+        self._raw = raw
         self._shapes = [None] * len(entries)
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def __getitem__(self, i: int) -> PreprocessedSample:
+    def __getitem__(self, i: int) -> PreprocessedSample | CsiRecording:
         entry = self._entries[i]
-        sample = load_sample(entry.path, label=entry.label)
-        shape, checked = sample.data.shape, self._shapes[i]
+        item = load_recording(entry.path) if self._raw else load_sample(entry.path, label=entry.label)
+        self._check(i, item.data.shape)
+        return item
+
+    def headers(self) -> list[tuple[int, ...]]:
+        """Every file's header fields, read and checked against the file's
+        size without its payload; each file's grid shape is recorded. Raises
+        ValueError naming the first file whose shape differs from the first
+        file's."""
+        fields = []
+        for i, entry in enumerate(self._entries):
+            if self._raw:
+                dims = load_recording_dims(entry.path)
+                n_t, n_r, n_p, n_s = dims
+                shape = (n_t * n_r, n_p, n_s, 2)
+            else:
+                dims = shape = load_sample_shape(entry.path)
+            self._check(i, shape)
+            if shape != self._shapes[0]:
+                raise ValueError(
+                    f"inputs must share one shape: {entry.path} has {shape}, "
+                    f"{self._entries[0].path} has {self._shapes[0]}"
+                )
+            fields.append(dims)
+        return fields
+
+    def _check(self, i: int, shape: tuple[int, ...]) -> None:
+        checked = self._shapes[i]
         if checked is None:
             self._shapes[i] = shape
         elif shape != checked:
-            raise ValueError(f"{entry.path} changed after its shape check: shape {shape}, was {checked}")
-        return sample
+            raise ValueError(f"{self._entries[i].path} changed after its shape check: shape {shape}, was {checked}")
+
+
+class _Grids(collections.abc.Sequence):
+    """The data grid of each item of `items`, asked of `items` on each access."""
+
+    def __init__(self, items: Sequence[PreprocessedSample | CsiRecording]):
+        self._items = items
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def __getitem__(self, i: int) -> np.ndarray:
+        return self._items[i].data
 
 
 def _unique_stem(path: str, taken: set[str]) -> str:
@@ -265,20 +314,21 @@ def cmd_augment(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     base = list(load_manifest(args.manifest))
     labels = [e.label for e in base]
+    files = _SampleFiles(base, raw=args.stage == "pre")
+    dims = files.headers()
+    grids = _Grids(files)
     if args.stage == "post":
-        grids = [s.data for s in _SampleFiles(base)]
         suffix = ".csp"
 
         def write(i, grid, path):
             save_sample(PreprocessedSample(data=grid, label=labels[i]), path)
 
     else:
-        recordings = [load_recording(e.path) for e in base]
-        grids = [r.data for r in recordings]
         suffix = ".csi"
 
         def write(i, grid, path):
-            save_recording(dataclasses.replace(recordings[i], data=grid), path)
+            n_t, n_r, n_p, n_s = dims[i]
+            save_recording(CsiRecording(n_t=n_t, n_r=n_r, n_p=n_p, n_s=n_s, data=grid), path)
 
     originals = ((e.path, i, grids[i]) for i, e in enumerate(base))
     expanded = (
@@ -288,7 +338,8 @@ def cmd_augment(args: argparse.Namespace) -> int:
     taken: set[str] = set()
     entries = []
     with _staged(args.out) as stage:
-        # Each output is written as soon as it is made; none is held.
+        # Each input is read when an output needs it, and each output is
+        # written as soon as it is made; neither is held.
         for stem, i, grid in itertools.chain(originals, expanded):
             path = os.path.join(stage, _unique_stem(stem, taken) + suffix)
             write(i, grid, path)

@@ -44,8 +44,10 @@ __all__ = [
     "DatasetManifest",
     "SyntheticSpec",
     "check_label",
+    "read_container_dims",
     "read_container",
     "write_container",
+    "load_recording_dims",
     "load_recording",
     "save_recording",
     "gate_and_trim",
@@ -150,6 +152,44 @@ def save_recording(rec: CsiRecording, path: str | os.PathLike) -> None:
     write_container(path, MAGIC, _HEADER, _FIELDS, dims, rec.data)
 
 
+def _read_dims(
+    fh, path: str | os.PathLike, magic: bytes, header: struct.Struct, names: Sequence[str], item_bytes: int
+) -> tuple[tuple[int, ...], int]:
+    """Read the magic and the dimension fields from the start of the open
+    file `fh` and check them, and the file's size, against the container
+    format with `item_bytes` per grid cell. Returns the fields and the
+    payload's byte count."""
+    head = fh.read(len(magic) + header.size)
+    if head[: len(magic)] != magic:
+        raise CsiFormatError(f"{path}: bad magic {head[:len(magic)]!r}, expected {magic!r}")
+    if len(head) < len(magic) + header.size:
+        raise CsiFormatError(f"{path}: truncated header ({len(head)} bytes)")
+    dims = header.unpack(head[len(magic) :])
+    if 0 in dims:
+        fields = ", ".join(f"{name}={v}" for name, v in zip(names, dims))
+        raise CsiFormatError(f"{path}: dimension field zero in header ({fields})")
+    expected = item_bytes * math.prod(dims)
+    actual = os.fstat(fh.fileno()).st_size - len(head)
+    if actual != expected:
+        raise CsiFormatError(f"{path}: payload holds {actual} bytes, header implies {expected}")
+    return dims, expected
+
+
+def read_container_dims(
+    path: str | os.PathLike,
+    magic: bytes,
+    header: struct.Struct,
+    names: Sequence[str],
+    dtype: str | np.dtype,
+    per_cell: int = 1,
+) -> tuple[int, ...]:
+    """The dimension fields of a container file, checked as `read_container`
+    checks them, the file's size included, from a read of the magic and the
+    header alone: the payload is not read."""
+    with open(path, "rb", buffering=0) as fh:
+        return _read_dims(fh, path, magic, header, names, np.dtype(dtype).itemsize * per_cell)[0]
+
+
 def read_container(
     path: str | os.PathLike,
     magic: bytes,
@@ -159,33 +199,32 @@ def read_container(
     per_cell: int = 1,
 ) -> tuple[tuple[int, ...], np.ndarray]:
     """Read a container file: `magic`, the u16 dimension fields of `header`
-    (called `names` in errors), then `per_cell` items of `dtype` per cell of
-    the grid those fields span. Returns the fields and the flat payload, a
-    read-only view of the file's bytes. Raises CsiFormatError naming `path`
-    for a bad magic, a short header, a zero field or a payload of the wrong
-    size."""
+    (called `names` in errors), then `per_cell` items of `dtype`, the file's
+    little-endian item type, per cell of the grid those fields span. Returns
+    the fields and the flat payload, a new array that the payload is read
+    into once.
+    Raises CsiFormatError naming `path` for a bad magic, a short header, a
+    zero field or a payload of the wrong size, whether the file's size shows
+    it or a read comes up short."""
+    dtype = np.dtype(dtype)
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[: len(magic)] != magic:
-        raise CsiFormatError(f"{path}: bad magic {blob[:len(magic)]!r}, expected {magic!r}")
-    header_end = len(magic) + header.size
-    if len(blob) < header_end:
-        raise CsiFormatError(f"{path}: truncated header ({len(blob)} bytes)")
-    dims = header.unpack(blob[len(magic) : header_end])
-    if 0 in dims:
-        fields = ", ".join(f"{name}={v}" for name, v in zip(names, dims))
-        raise CsiFormatError(f"{path}: dimension field zero in header ({fields})")
-    expected = np.dtype(dtype).itemsize * per_cell * math.prod(dims)
-    actual = len(blob) - header_end
+        dims, expected = _read_dims(fh, path, magic, header, names, dtype.itemsize * per_cell)
+        payload = np.empty(expected // dtype.itemsize, dtype=dtype)
+        actual = fh.readinto(payload)
     if actual != expected:
         raise CsiFormatError(f"{path}: payload holds {actual} bytes, header implies {expected}")
-    return dims, np.frombuffer(blob, dtype=dtype, offset=header_end)
+    return dims, payload
+
+
+def load_recording_dims(path: str | os.PathLike) -> tuple[int, int, int, int]:
+    """A recording file's (n_t, n_r, n_p, n_s), checked against its size
+    without reading its grid (see `read_container_dims`)."""
+    return read_container_dims(path, MAGIC, _HEADER, _FIELDS, np.int8, per_cell=2)
 
 
 def load_recording(path: str | os.PathLike) -> CsiRecording:
     (n_t, n_r, n_p, n_s), payload = read_container(path, MAGIC, _HEADER, _FIELDS, np.int8, per_cell=2)
-    data = payload.reshape(n_t * n_r, n_p, n_s, 2).copy()
-    return CsiRecording(n_t=n_t, n_r=n_r, n_p=n_p, n_s=n_s, data=data)
+    return CsiRecording(n_t=n_t, n_r=n_r, n_p=n_p, n_s=n_s, data=payload.reshape(n_t * n_r, n_p, n_s, 2))
 
 
 def gate_and_trim(rec: CsiRecording, target_np: int = 1500) -> Optional[CsiRecording]:

@@ -40,7 +40,7 @@ from typing import Optional
 import numpy as np
 import scipy
 
-from .csi_data import CsiRecording, _magnitude_into, read_container, write_container
+from .csi_data import CsiRecording, _magnitude_into, read_container, read_container_dims, write_container
 from .fields import check_fields
 
 __all__ = [
@@ -54,6 +54,7 @@ __all__ = [
     "dwt_approx",
     "preprocess",
     "save_sample",
+    "load_sample_shape",
     "load_sample",
 ]
 
@@ -308,7 +309,18 @@ def save_sample(sample: PreprocessedSample, path: str | os.PathLike) -> None:
     write_container(path, SAMPLE_MAGIC, _SAMPLE_HEADER, _SAMPLE_FIELDS, payload.shape, payload)
 
 
+def load_sample_shape(path: str | os.PathLike) -> tuple[int, int, int]:
+    """A sample file's (pairs, n_p, n_s), checked against its size without
+    reading its tensor (see `read_container_dims`)."""
+    return read_container_dims(path, SAMPLE_MAGIC, _SAMPLE_HEADER, _SAMPLE_FIELDS, "<f8")
+
+
 def load_sample(path: str | os.PathLike, label: Optional[int] = None) -> PreprocessedSample:
+    """The sample of a file written by `save_sample`. A tensor that
+    `PreprocessedSample` refuses, one with a non-finite value, raises
+    ValueError naming `path`."""
     (pairs, n_p, n_s), payload = read_container(path, SAMPLE_MAGIC, _SAMPLE_HEADER, _SAMPLE_FIELDS, "<f8")
-    data = payload.reshape(pairs, n_p, n_s).astype(np.float64)
-    return PreprocessedSample(data=data, label=label)
+    try:
+        return PreprocessedSample(data=payload.reshape(pairs, n_p, n_s), label=label)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

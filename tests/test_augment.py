@@ -445,6 +445,29 @@ def test_augment_peak_memory_does_not_grow_with_outputs(tmp_path, capsys, stage)
     assert peaks[1] - peaks[0] < 2 * one_output, (peaks, one_output)
 
 
+@pytest.mark.parametrize("stage", ["post", "pre"])
+def test_augment_peak_memory_does_not_grow_with_inputs(tmp_path, capsys, stage):
+    """Inputs are read from their files when an output needs them and are
+    not kept, so tripling the input count (18 -> 54 here) adds less than two
+    inputs to the peak."""
+    peaks = []
+    for trials in (6, 18):
+        root = tmp_path / f"t{trials}"
+        cfg = root / "run.json"
+        root.mkdir()
+        cfg.write_text(json.dumps({"synth": {"classes": 3, "samples_per_class": trials, "n_p": 256, "n_s": 30}, "pipeline": {"target_np": 256}}))
+        assert main(["synth", "--config", str(cfg), "--out", str(root / "raw")]) == 0
+        assert main(["preprocess", str(root / "raw" / "manifest.csv"), "--config", str(cfg), "--out", str(root / "prep")]) == 0
+        src = root / ("prep" if stage == "post" else "raw")
+        argv = ["augment", str(src / "manifest.csv"), "--stage", stage, "--config", str(cfg)]
+        _augment_peak(argv + ["--out", str(root / "warm")])
+        peaks.append(_augment_peak(argv + ["--out", str(root / "aug")]))
+    capsys.readouterr()
+    one_input = next(src.glob("*.cs?")).stat().st_size
+    assert len(list((tmp_path / "t18" / "aug").iterdir())) == 54 * 4 + 1
+    assert peaks[1] - peaks[0] < 2 * one_input, (peaks, one_input)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         AugmentConfig(dropout_lambda_max=0.0)

@@ -14,7 +14,14 @@ from csi_tcn import cli
 from csi_tcn import train as train_mod
 from csi_tcn.cli import main
 from csi_tcn.config import RunConfig, load_run_config, run_config_to_dict
-from csi_tcn.csi_data import DatasetManifest, ManifestEntry, load_manifest, save_manifest
+from csi_tcn.csi_data import (
+    DatasetManifest,
+    ManifestEntry,
+    load_manifest,
+    load_recording,
+    save_manifest,
+    save_recording,
+)
 from csi_tcn.dsp import PreprocessedSample, load_sample, save_sample
 
 CONFIG = {
@@ -212,10 +219,10 @@ def test_kfold_from_files_equals_kfold_evaluate_over_a_list(workspace, tmp_path)
     assert json.loads((out / "summary.json").read_text())["mean_val_accuracy"] == mean_accuracy
 
 
-def _copy_prep(root, tmp_path) -> tuple[str, list]:
-    """A copy of the workspace's preprocessed samples and their manifest
-    under tmp_path, so a test may change the files."""
-    entries = load_manifest(root / "prep" / "manifest.csv").entries
+def _copy_inputs(directory, tmp_path) -> tuple[str, list]:
+    """A copy of the files of the workspace manifest in `directory` and of
+    the manifest under tmp_path, so a test may change the files."""
+    entries = load_manifest(directory / "manifest.csv").entries
     copies = []
     for e in entries:
         path = str(tmp_path / os.path.basename(e.path))
@@ -228,33 +235,94 @@ def _copy_prep(root, tmp_path) -> tuple[str, list]:
 
 @pytest.mark.parametrize(
     "command",
-    [["train"], ["train", "--kfold", "2"], ["eval", "--checkpoint", None]],
-    ids=["holdout", "kfold", "eval"],
+    [
+        ["train"],
+        ["train", "--kfold", "2"],
+        ["eval", "--checkpoint", None],
+        ["augment", "--stage", "post"],
+        ["augment", "--stage", "pre"],
+    ],
+    ids=["holdout", "kfold", "eval", "augment_post", "augment_pre"],
 )
 def test_sample_changed_after_the_shape_check_fails_cleanly(workspace, checkpoint, tmp_path, monkeypatch, capsys, command):
     root, cfg = workspace
-    manifest, entries = _copy_prep(root, tmp_path)
+    raw = command[-1] == "pre"
+    manifest, entries = _copy_inputs(root / ("raw" if raw else "prep"), tmp_path)
     victim = entries[-1].path
-    before = load_sample(victim)
-    narrow = PreprocessedSample(before.data[:, 1:], label=before.label)
-    real_load = cli.load_sample
+    if raw:
+        loader, save = "load_recording", save_recording
+        before = load_recording(victim)
+        narrow = dataclasses.replace(before, n_p=before.n_p - 1, data=before.data[:, 1:])
+    else:
+        loader, save = "load_sample", save_sample
+        before = load_sample(victim)
+        narrow = PreprocessedSample(before.data[:, 1:], label=before.label)
+    real_load = getattr(cli, loader)
+    # train and eval check shapes by reading every sample once; augment
+    # checks them from the headers alone, before its first read.
+    checked = 0 if command[0] == "augment" else len(entries)
     reads = []
 
-    def load_then_change(path, label=None):
-        # Once every sample has been read by the first shape check, shrink
-        # the last one on disk.
+    def load_then_change(path, *args, **kwargs):
+        # Once every shape has been checked, shrink the last input on disk.
         reads.append(path)
-        if len(reads) == len(entries) + 1:
-            save_sample(narrow, victim)
-        return real_load(path, label=label)
+        if len(reads) == checked + 1:
+            save(narrow, victim)
+        return real_load(path, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "load_sample", load_then_change)
+    monkeypatch.setattr(cli, loader, load_then_change)
     argv = [command[0], manifest, *[checkpoint if a is None else a for a in command[1:]]]
     out = tmp_path / "never"
     assert main([*argv, "--config", str(cfg), "--out", str(out)]) == 1
     assert capsys.readouterr().err == (
         f"error: {victim} changed after its shape check: shape {narrow.data.shape}, was {before.data.shape}\n"
     )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("stage", ["post", "pre"])
+def test_augment_refuses_mixed_shapes_from_the_headers(workspace, tmp_path, monkeypatch, capsys, stage):
+    root, cfg = workspace
+    raw = stage == "pre"
+    manifest, entries = _copy_inputs(root / ("raw" if raw else "prep"), tmp_path)
+    first, odd = entries[0].path, entries[3].path
+    if raw:
+        rec = load_recording(odd)
+        save_recording(dataclasses.replace(rec, n_p=rec.n_p - 1, data=rec.data[:, 1:]), odd)
+        shapes = (rec.data[:, 1:].shape, rec.data.shape)
+    else:
+        sample = load_sample(odd)
+        save_sample(PreprocessedSample(sample.data[:, 1:]), odd)
+        shapes = (sample.data[:, 1:].shape, sample.data.shape)
+
+    def unread(*args, **kwargs):
+        raise AssertionError("a payload was read")
+
+    monkeypatch.setattr(cli, "load_recording" if raw else "load_sample", unread)
+    out = tmp_path / "never"
+    assert main(["augment", manifest, "--stage", stage, "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: inputs must share one shape: {odd} has {shapes[0]}, {first} has {shapes[1]}\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["train"], ["eval", "--checkpoint", None], ["augment", "--stage", "post"]],
+    ids=["train", "eval", "augment_post"],
+)
+def test_non_finite_sample_file_is_refused_by_name(workspace, checkpoint, tmp_path, capsys, command):
+    root, cfg = workspace
+    manifest, entries = _copy_inputs(root / "prep", tmp_path)
+    victim = entries[len(entries) // 2].path
+    with open(victim, "r+b") as fh:
+        fh.seek(10 + 8 * 5)  # the sixth value after the 10-byte CSP1 header
+        fh.write(np.array([np.nan], dtype="<f8").tobytes())
+    argv = [command[0], manifest, *[checkpoint if a is None else a for a in command[1:]]]
+    out = tmp_path / "never"
+    assert main([*argv, "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {victim}: sample tensor contains non-finite values\n"
     assert not out.exists()
 
 

@@ -98,6 +98,37 @@ class TestBinaryFormat:
             load_recording(path)
 
 
+class TestReads:
+    """The payload is read once, into a new writable array, and the header
+    alone answers a shape question."""
+
+    def test_grid_is_a_writable_array_of_its_own(self, tmp_path):
+        rec = random_recording(np.random.default_rng(2), n_p=6, n_s=3)
+        path = tmp_path / "r.csi"
+        save_recording(rec, path)
+        a, b = load_recording(path), load_recording(path)
+        assert a.data.flags.writeable and a.data.flags.c_contiguous
+        a.data[...] = 0
+        assert np.array_equal(b.data, rec.data)
+
+    def test_dims_from_the_header_alone(self, tmp_path):
+        path = tmp_path / "r.csi"
+        save_recording(make_recording(n_t=3, n_r=2, n_p=7, n_s=5), path)
+        assert csi_data.load_recording_dims(path) == (3, 2, 7, 5)
+        path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(CsiFormatError, match=r"r\.csi: payload holds 419 bytes, header implies 420"):
+            csi_data.load_recording_dims(path)
+
+    def test_short_read_after_the_size_check(self, tmp_path, monkeypatch):
+        # The file shrinks between the size check and the payload read.
+        path = tmp_path / "r.csi"
+        save_recording(make_recording(n_p=10, n_s=4), path)
+        full = os.stat(path)
+        path.write_bytes(path.read_bytes()[:-5])
+        monkeypatch.setattr(csi_data.os, "fstat", lambda fd: full)
+        with pytest.raises(CsiFormatError, match=r"r\.csi: payload holds 475 bytes, header implies 480"):
+            load_recording(path)
+
 def test_twelve_distinct_label_names():
     assert csi_data.N_CLASSES == 12
     assert len(set(csi_data.LABEL_NAMES)) == 12

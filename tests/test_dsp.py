@@ -363,3 +363,26 @@ class TestSampleContainer:
         path.write_bytes(b"CSP1\x06\x00")
         with pytest.raises(CsiFormatError, match=r"z\.csp: truncated header \(6 bytes\)"):
             load_sample(path)
+
+    def test_shape_from_the_header_alone(self, tmp_path):
+        from csi_tcn.csi_data import CsiFormatError
+        from csi_tcn.dsp import PreprocessedSample
+
+        path = tmp_path / "s.csp"
+        save_sample(PreprocessedSample(data=np.zeros((6, 5, 3))), path)
+        assert dsp.load_sample_shape(path) == (6, 5, 3)
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(CsiFormatError, match=r"s\.csp: payload holds 712 bytes, header implies 720"):
+            dsp.load_sample_shape(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_is_refused_by_name(self, tmp_path, value):
+        from csi_tcn.dsp import PreprocessedSample
+
+        path = tmp_path / "n.csp"
+        save_sample(PreprocessedSample(data=np.zeros((2, 3, 4))), path)
+        blob = bytearray(path.read_bytes())
+        blob[10 + 8 * 7 : 10 + 8 * 8] = np.array([value], dtype="<f8").tobytes()
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match=r"n\.csp: sample tensor contains non-finite values"):
+            load_sample(path)
